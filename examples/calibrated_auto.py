@@ -1,7 +1,7 @@
 """Measured backend selection: calibrate once, let ``backend="auto"`` follow.
 
-The registry's default ``auto`` policy ranks backends by a hard-coded
-priority ladder (numba > numpy > compact > dict on large amortised
+The registry's default ``auto`` policy ranks backends by a fixed ladder
+(numba > numpy > compact, dict below the size threshold, on amortised
 workloads).  That ladder encodes an *expectation*; this example replaces it
 with a *measurement* on the machine actually running the workload:
 

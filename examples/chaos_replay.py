@@ -1,24 +1,21 @@
-"""Chaos replay: fault injection, supervised retry, degradation and recovery.
+"""Chaos replay: checkpoint corruption, verification and fallback restore.
 
-The resilience promise of the serving stack is concrete: under injected
-worker crashes, slow shards, kernel exceptions and checkpoint corruption,
-every query is still answered — bit-identically via retry when the substrate
-recovers, or through a counted, observable degradation when it does not.
-This example walks the whole ladder on a replayed dataset:
+A long-running engine's checkpoint is its only way back after a restart, so
+a damaged file must be detected, never silently restored.  This example
+replays a dataset through the engine and then walks the checkpoint failure
+story:
 
-1. arm a deterministic :class:`repro.resilience.FaultSpec` that makes a
-   sharded kernel fail mid-exchange (the supervised coordinator resumes the
-   exchange and the answer stays bit-identical),
-2. arm an unrecoverable fault and watch the engine degrade to the compact
-   backend (``engine.health()`` reports the reason) and then *recover* at
-   flush time once the fault clears,
-3. corrupt a checkpoint's bytes and watch the digest verification name the
-   damaged section, then restore from the rotated sibling.
+1. arm a deterministic :class:`repro.resilience.FaultSpec` that flips a byte
+   inside the ``core`` section of the newest checkpoint, watch the digest
+   verification name the damaged section, then restore from the rotated
+   sibling,
+2. arm a write failure and watch the save refuse cleanly while the last good
+   checkpoint survives.
 
 Set ``REPRO_FAULTS`` (see :mod:`repro.resilience.faults`) to replace step
-1's demo plan with your own chaos — the CI chaos matrix runs exactly that::
+1's demo plan with your own chaos — the CI chaos job runs exactly that::
 
-    REPRO_FAULTS="shard.op:action=crash,executor=process,op=hindex_round,at=2" \\
+    REPRO_FAULTS="checkpoint.bytes:action=corrupt,section=core,rate=0.5,seed=3,times=0" \\
         python examples/chaos_replay.py
 """
 
@@ -27,7 +24,12 @@ from __future__ import annotations
 import os
 
 from repro import StreamingAVTEngine, load_dataset
-from repro.engine.checkpoint import load_checkpoint, rotated_paths, save_checkpoint
+from repro.engine.checkpoint import (
+    load_checkpoint,
+    read_state,
+    rotated_paths,
+    save_checkpoint,
+)
 from repro.errors import CheckpointCorruptionError, CheckpointError
 from repro.resilience import FaultSpec, faults
 
@@ -36,7 +38,7 @@ K = 4
 BUDGET = 3
 
 
-def replay_under_faults(engine: StreamingAVTEngine, evolving) -> int:
+def replay(engine: StreamingAVTEngine, evolving) -> int:
     """Replay every delta with interleaved queries; returns queries answered."""
     answered = 0
     result = engine.query(K, BUDGET)
@@ -57,90 +59,65 @@ def replay_under_faults(engine: StreamingAVTEngine, evolving) -> int:
     return answered
 
 
+def corrupt_and_fall_back(engine: StreamingAVTEngine, path: str) -> None:
+    """Corrupt the newest checkpoint, detect it, restore the rotated sibling."""
+    env_plan = os.environ.get("REPRO_FAULTS")
+    save_checkpoint(engine, path, keep=2)
+    if env_plan:
+        print(f"  saving under REPRO_FAULTS={env_plan!r}")
+        save_checkpoint(engine, path, keep=2)
+    else:
+        with faults.inject(
+            FaultSpec("checkpoint.bytes", "corrupt", match={"section": "core"})
+        ):
+            save_checkpoint(engine, path, keep=2)
+    try:
+        read_state(path)
+    except CheckpointCorruptionError as error:
+        print(f"  corruption detected in section {error.section!r}: digest mismatch")
+    else:
+        print("  newest checkpoint verified intact (the fault plan did not fire)")
+    try:
+        restored = load_checkpoint(path, fallback=True)
+    except CheckpointError as error:
+        # Possible when a persistent checkpoint.bytes fault corrupted every
+        # rotation: the load refuses rather than silently restoring damaged
+        # state.
+        print(f"  every rotation corrupt — restore refused: {error}")
+    else:
+        match = restored.core_numbers() == engine.core_numbers()
+        print(f"  restored from an intact rotation; core numbers match: {match}")
+
+
+def failed_write_keeps_last_good(engine: StreamingAVTEngine, path: str) -> None:
+    """A failed save raises and leaves the previous checkpoint restorable."""
+    save_checkpoint(engine, path, keep=2)
+    with faults.inject(FaultSpec("checkpoint.write", "fail")):
+        try:
+            save_checkpoint(engine, path, keep=2)
+        except CheckpointError as error:
+            print(f"  save refused: {error}")
+    try:
+        restored = load_checkpoint(path, fallback=True)
+    except CheckpointError as error:
+        print(f"  no intact checkpoint left to restore: {error}")
+    else:
+        print(f"  last good checkpoint still restores (version={restored.graph_version})")
+
+
 def main() -> None:
     evolving = load_dataset(DATASET, num_snapshots=3, scale=0.3)
+    engine = StreamingAVTEngine(evolving.base)
+    print(f"Replaying {DATASET} through the engine:")
+    answered = replay(engine, evolving)
+    print(f"replay done: {answered} queries answered")
 
-    env_plan = os.environ.get("REPRO_FAULTS")
-    if env_plan:
-        print(f"Chaos replay with REPRO_FAULTS={env_plan!r}")
-        installed = None
-    else:
-        # Demo plan: the third h-index exchange round raises inside a shard
-        # op.  The coordinator restores the consumed payload, resumes the
-        # exchange, and the decomposition comes out bit-identical.
-        installed = faults.install_plan(
-            FaultSpec("shard.op", "error", match={"op": "hindex_round"}, at=3)
-        )
-        print("Chaos replay with the demo plan (transient shard-op fault):")
-
-    try:
-        engine = StreamingAVTEngine(evolving.base, backend="sharded")
-        answered = replay_under_faults(engine, evolving)
-        health = engine.health()
-        print(
-            f"replay done: {answered} queries answered, zero errors — "
-            f"status={health['status']}, degradations={health['degradations']}"
-        )
-
-        # --- unrecoverable fault: the degradation ladder -------------------
-        print("\nArming an unrecoverable shard fault (every op fails):")
-        with faults.inject(FaultSpec("shard.op", "error", times=0)):
-            result = engine.query(K + 1, BUDGET)
-        health = engine.health()
-        if health["status"] == "degraded":
-            print(
-                f"  query still answered (anchors={list(result.anchors)}) via "
-                f"backend={health['backend']}; health: status=degraded, "
-                f"reason={health['degraded']['reason'][:60]!r}"
-            )
-        else:
-            # In-process plans do not reach already-spawned worker processes
-            # (arm REPRO_FAULTS before startup for that), so under the
-            # process executor this leg can come back healthy.
-            print(
-                f"  query answered (anchors={list(result.anchors)}) with no "
-                f"degradation — the fault plan never reached the substrate"
-            )
-
-        # Fault cleared: the next flush probes the failed substrate and
-        # migrates back.
-        engine.ingest_insert("chaos-u", "chaos-v")
-        engine.flush()
-        health = engine.health()
-        print(
-            f"  after flush-time probe: status={health['status']}, "
-            f"backend={health['backend']}, recoveries={health['recoveries']}"
-        )
-    finally:
-        if installed is not None:
-            faults.clear_plan()
-
-    # --- verified checkpoints ---------------------------------------------
-    print("\nCheckpoint verification and fallback:")
     path = "chaos_replay.ckpt"
     try:
-        save_checkpoint(engine, path, keep=2)
-        save_checkpoint(engine, path, keep=2)
-        raw = bytearray(open(path, "rb").read())
-        raw[len(raw) // 2] ^= 0xFF  # one flipped bit-pattern mid-file
-        with open(path, "wb") as handle:
-            handle.write(bytes(raw))
-        try:
-            from repro.engine.checkpoint import read_state
-
-            read_state(path)
-        except CheckpointCorruptionError as error:
-            print(f"  corruption detected in section {error.section!r}: digest mismatch")
-        try:
-            restored = load_checkpoint(path, fallback=True)
-        except CheckpointError as error:
-            # Possible when a persistent checkpoint.bytes fault corrupted
-            # every rotation: the load refuses rather than silently
-            # restoring damaged state.
-            print(f"  every rotation corrupt — restore refused: {error}")
-        else:
-            match = restored.core_numbers() == engine.core_numbers()
-            print(f"  restored from rotated sibling; core numbers match: {match}")
+        print("\nCheckpoint corruption and fallback:")
+        corrupt_and_fall_back(engine, path)
+        print("\nCheckpoint write failure:")
+        failed_write_keeps_last_good(engine, path)
     finally:
         for rotation in rotated_paths(path, 2):
             if os.path.exists(rotation):

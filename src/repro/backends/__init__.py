@@ -25,17 +25,8 @@ incremental maintenance traversals — is delegated to an
     like numpy (needs both numba and numpy); first-use JIT compilation is
     done explicitly at backend construction under a ``kernel.jit_compile``
     obs span so it never pollutes a traced query.
-``sharded``
-    Partitioned per-shard kernels with boundary exchange
-    (:mod:`repro.backends.sharded_backend` over :mod:`repro.shard`): the CSR
-    snapshot is split across shards (hash-by-id or degree-balanced) and every
-    cascade runs as local waves plus a cut-edge exchange step until fixpoint,
-    on a serial executor or a spawn-safe process pool.  Configured via
-    ``REPRO_SHARD_COUNT`` / ``REPRO_SHARD_PARTITIONER`` /
-    ``REPRO_SHARD_EXECUTOR`` / ``REPRO_SHARD_WORKERS``, or explicitly through
-    ``ShardedBackend(...)`` instances.
 
-All five produce identical core numbers, identical removal orders and
+All four produce identical core numbers, identical removal orders and
 identical instrumentation counts (``tests/test_backend_equivalence.py``).
 ``backend="auto"`` — the default everywhere — resolves by graph size and
 workload shape, and consults a **measured calibration table**
@@ -62,7 +53,6 @@ from repro.backends.base import (
     BACKEND_DICT,
     BACKEND_NUMBA,
     BACKEND_NUMPY,
-    BACKEND_SHARDED,
     BACKENDS,
     COMPACT_THRESHOLD,
     WORKLOAD_AMORTIZED,
@@ -97,7 +87,6 @@ __all__ = [
     "BACKEND_DICT",
     "BACKEND_NUMBA",
     "BACKEND_NUMPY",
-    "BACKEND_SHARDED",
     "BACKENDS",
     "COMPACT_THRESHOLD",
     "WORKLOAD_AMORTIZED",
@@ -201,29 +190,17 @@ def _make_numba_backend() -> ExecutionBackend:
     return NumbaBackend()
 
 
-def _make_sharded_backend() -> ExecutionBackend:
-    from repro.backends.sharded_backend import ShardedBackend
-
-    return ShardedBackend()
-
-
-register_backend(BACKEND_DICT, _make_dict_backend, auto_priority=0)
-register_backend(BACKEND_COMPACT, _make_compact_backend, auto_priority=10)
+register_backend(BACKEND_DICT, _make_dict_backend)
+register_backend(BACKEND_COMPACT, _make_compact_backend)
 register_backend(
     BACKEND_NUMPY,
     _make_numpy_backend,
-    auto_priority=20,
     is_available=numpy_available,
     availability_reason=numpy_unavailable_reason,
 )
 register_backend(
     BACKEND_NUMBA,
     _make_numba_backend,
-    auto_priority=30,
     is_available=numba_available,
     availability_reason=numba_unavailable_reason,
 )
-# Priority below compact on purpose: multi-process execution is an explicit
-# operator decision (``backend="sharded"`` or a configured instance), never
-# something ``auto`` silently turns on for a big graph.
-register_backend(BACKEND_SHARDED, _make_sharded_backend, auto_priority=5)

@@ -1,7 +1,7 @@
 """Measured backend selection: calibration sweeps behind the ``"auto"`` policy.
 
-The registry's hard-coded ``auto_priority`` ladder encodes an *expectation*
-(numba > numpy > compact > dict on large amortised workloads); this module
+The registry's fixed ``AUTO_LADDER`` encodes an *expectation* (numba >
+numpy > compact, dict below the threshold, on amortised workloads); this module
 replaces the expectation with a **measurement**.  :func:`run_calibration`
 executes a small declarative sweep grid — graph-size bands × workload shapes
 × available backends, with repetitions — and records the per-kernel timings
@@ -54,9 +54,7 @@ WORKLOAD_CORE_INDEX = "core_index"
 WORKLOAD_MAINTENANCE = "maintenance"
 DEFAULT_WORKLOADS = (WORKLOAD_PEEL, WORKLOAD_CORE_INDEX, WORKLOAD_MAINTENANCE)
 
-#: Candidate backends ``auto`` may pick from.  The sharded backend is
-#: deliberately absent: multi-process execution stays an explicit operator
-#: decision even when a sweep would crown it.
+#: Candidate backends ``auto`` may pick from: the four built-ins.
 DEFAULT_CANDIDATES = (BACKEND_DICT, BACKEND_COMPACT, BACKEND_NUMPY, BACKEND_NUMBA)
 
 

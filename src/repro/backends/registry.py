@@ -8,10 +8,10 @@ instance — to :func:`get_backend` and use whatever comes back.
 Registration
 ------------
 :func:`register_backend` associates a name with a zero-argument factory plus
-selection metadata.  The five built-ins (dict, compact, numpy, numba,
-sharded) are registered by :mod:`repro.backends` itself (with lazy
-factories, so importing the package never imports numpy or numba); third
-parties can register more::
+an optional availability probe.  The four built-ins (dict, compact, numpy,
+numba) are registered by :mod:`repro.backends` itself (with lazy factories,
+so importing the package never imports numpy or numba); third parties can
+register more::
 
     from repro.backends import ExecutionBackend, register_backend
 
@@ -19,9 +19,11 @@ parties can register more::
         name = "remote"
         ...
 
-    register_backend("remote", RemoteBackend, auto_priority=40)
+    register_backend("remote", RemoteBackend)
 
 After that every ``backend=`` kwarg in the library accepts ``"remote"``.
+The fixed ladder never picks a third-party backend; callers name it
+explicitly (or a calibration table that measured it crowns it).
 Import-gated backends pass ``is_available`` (the probe) and, optionally,
 ``availability_reason`` — a callable explaining *why* the probe currently
 fails (missing import vs. env-disabled), surfaced by
@@ -40,16 +42,21 @@ The ``auto`` policy
 2. **Amortised workloads with an active calibration table**
    (:func:`repro.backends.calibrate.active_calibration`, installed
    explicitly or via ``REPRO_CALIBRATION``) resolve to the *measured* winner
-   of the size band containing the graph — the empirical replacement for
-   the priority ladder.  A band whose winner is currently unavailable, and
-   sizes no band covers, fall through to rule 3.
+   of the size band containing the graph.  A band whose winner is currently
+   unavailable, and sizes no band covers, fall through to rule 3.
 3. **Amortised workloads without a measurement** resolve to the dict
    backend below :data:`~repro.backends.base.COMPACT_THRESHOLD` vertices —
    translation overhead dominates on small graphs — and above it to the
-   *available* registered backend with the highest ``auto_priority``
-   (numba 30 > numpy 20 > compact 10 > sharded 5 > dict 0, so the compiled
-   tier wins whenever numba is importable and the multi-process sharded
-   backend is never auto-picked).
+   first *available* backend of :data:`AUTO_LADDER`: numba, then numpy,
+   then compact.
+
+Why numpy ranks above compact: neither wins every end-to-end workload.  On
+a 2-CPU machine, forcing compact on a 50k-vertex Greedy solve (l=8) cut the
+p90 per-anchor commit latency from 159–174 ms to 99–110 ms, but on the
+snapshot-tracking workload (a first Greedy solve, then per-snapshot
+maintenance and IncAVT refresh) it raised the p90 per-snapshot latency by
+16–19% (80→95 ms, 88→102 ms).  Without a backend that wins both, the
+existing order stays.
 
 Explicit names bypass the policy entirely; asking for a registered but
 unavailable backend (e.g. ``"numba"`` without numba installed) raises
@@ -63,7 +70,10 @@ from typing import Callable, Dict, Optional, Tuple, Union
 
 from repro.backends.base import (
     BACKEND_AUTO,
+    BACKEND_COMPACT,
     BACKEND_DICT,
+    BACKEND_NUMBA,
+    BACKEND_NUMPY,
     COMPACT_THRESHOLD,
     WORKLOAD_AMORTIZED,
     WORKLOAD_ONE_SHOT,
@@ -74,6 +84,11 @@ from repro.errors import ParameterError
 
 _WORKLOADS = (WORKLOAD_ONE_SHOT, WORKLOAD_AMORTIZED)
 
+#: ``auto``'s order for uncalibrated amortised workloads at or above the
+#: threshold: the first available entry wins (see the module docstring for why numpy ranks
+#: above compact).
+AUTO_LADDER = (BACKEND_NUMBA, BACKEND_NUMPY, BACKEND_COMPACT)
+
 
 #: Fallback explanation when a probe fails without a reason provider.
 _GENERIC_REASON = "a runtime dependency is missing"
@@ -81,11 +96,10 @@ _GENERIC_REASON = "a runtime dependency is missing"
 
 @dataclass
 class _BackendSpec:
-    """Registry entry: how to build a backend and when ``auto`` may pick it."""
+    """Registry entry: how to build a backend and whether it is available."""
 
     name: str
     factory: Callable[[], ExecutionBackend]
-    auto_priority: int = 0
     is_available: Callable[[], bool] = field(default=lambda: True)
     availability_reason: Optional[Callable[[], Optional[str]]] = None
 
@@ -107,7 +121,6 @@ def register_backend(
     name: str,
     factory: Callable[[], ExecutionBackend],
     *,
-    auto_priority: int = 0,
     is_available: Optional[Callable[[], bool]] = None,
     availability_reason: Optional[Callable[[], Optional[str]]] = None,
     replace: bool = False,
@@ -119,10 +132,6 @@ def register_backend(
     factory:
         Zero-argument callable returning an :class:`ExecutionBackend`.
         Called at most once; the instance is cached process-wide.
-    auto_priority:
-        Rank among available backends when ``"auto"`` resolves an amortised
-        workload on a large graph without a calibration table (highest wins;
-        dict=0, compact=10, numpy=20, numba=30).
     is_available:
         Optional probe called at resolution time — return ``False`` while a
         runtime dependency is missing and the backend is skipped by ``auto``
@@ -144,7 +153,6 @@ def register_backend(
     _REGISTRY[name] = _BackendSpec(
         name=name,
         factory=factory,
-        auto_priority=auto_priority,
         is_available=is_available if is_available is not None else (lambda: True),
         availability_reason=availability_reason,
     )
@@ -179,28 +187,14 @@ def backend_availability() -> Dict[str, Optional[str]]:
 def backend_info() -> Tuple[Dict[str, object], ...]:
     """One metadata row per registered backend, in registration order.
 
-    Each row carries ``name``, ``available`` (the probe's current verdict),
-    ``reason`` (why the probe fails, ``None`` when available),
-    ``auto_priority`` and ``config`` (the instance configuration of backends
-    that have one — empty for stateless backends, and for unavailable
-    backends whose factory cannot be called).  This is what the
-    ``avt-bench backends`` CLI subcommand renders.
+    Each row carries ``name``, ``available`` (the probe's current verdict)
+    and ``reason`` (why the probe fails, ``None`` when available).  This is
+    what the ``avt-bench backends`` CLI subcommand renders.
     """
     rows = []
     for name, spec in _REGISTRY.items():
         available, reason = spec.availability()
-        config: Dict[str, object] = {}
-        if available:
-            config = dict(get_backend(name).config())
-        rows.append(
-            {
-                "name": name,
-                "available": available,
-                "reason": reason,
-                "auto_priority": spec.auto_priority,
-                "config": config,
-            }
-        )
+        rows.append({"name": name, "available": available, "reason": reason})
     return tuple(rows)
 
 
@@ -231,11 +225,9 @@ def resolve_backend(
         return backend
     if workload == WORKLOAD_ONE_SHOT:
         return BACKEND_DICT
-    # Measured policy first: an active calibration table answers amortised
-    # workloads with the empirical winner of the size band (rule 2 in the
-    # module docstring); anything it cannot answer — no table, no covering
-    # band, winner not currently available/registered — falls through to
-    # the priority ladder.
+    # Measured policy first (rule 2): anything the table cannot answer — no
+    # table, no covering band, winner not currently available/registered —
+    # falls through to the fixed ladder.
     table = active_calibration()
     if table is not None:
         winner = table.winner_for(num_vertices, available=available_backends())
@@ -243,12 +235,11 @@ def resolve_backend(
             return winner
     if num_vertices < threshold:
         return BACKEND_DICT
-    best = BACKEND_DICT
-    best_priority = _REGISTRY[BACKEND_DICT].auto_priority if BACKEND_DICT in _REGISTRY else 0
-    for name, spec in _REGISTRY.items():
-        if spec.auto_priority > best_priority and spec.is_available():
-            best, best_priority = name, spec.auto_priority
-    return best
+    for name in AUTO_LADDER:
+        spec = _REGISTRY.get(name)
+        if spec is not None and spec.is_available():
+            return name
+    return BACKEND_DICT
 
 
 def get_backend(

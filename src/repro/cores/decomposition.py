@@ -315,8 +315,8 @@ def _shell_order_ids(
     same-shell subgraph: members ascend by id (id == tie-break rank on
     ordered snapshots), each starts at its count of ``core >= level``
     neighbours (anchors are infinity and count), and only same-shell
-    removals decrement — the invariant the numpy and sharded backends
-    already build their whole order reconstruction on.
+    removals decrement — the invariant the numpy backend already builds
+    its whole order reconstruction on.
     """
     size = len(members)
     position = {vid: local for local, vid in enumerate(members)}
@@ -381,8 +381,7 @@ def incremental_anchor_commit(
 
     **Removal order.**  With the new core numbers fixed, the reference heap
     peel's order is the ascending concatenation of per-shell cascades over
-    same-shell subgraphs (the Phase-B invariant of the numpy and sharded
-    backends).  A shell's internal order can change only if its membership
+    same-shell subgraphs (the Phase-B invariant of the numpy backend).  A shell's internal order can change only if its membership
     changed (it gained or lost a riser or the anchor) or a member's starting
     degree changed (a neighbour's core value crossed the shell level — for a
     ``+1`` riser from ``a`` that is only shell ``a + 1``; for the anchor,

@@ -8,6 +8,10 @@ live graph — an insert of an edge that is already present, a remove of an
 absent one, or an insert→remove round trip on an edge the graph never had.
 ``flush()`` then hands one compact :class:`EdgeDelta` to the core maintainer.
 
+Self-loops are rejected with :class:`~repro.errors.SelfLoopError` before
+anything is buffered (a whole delta is checked before any of its edges is
+taken), so a flush never meets an edge the graph cannot hold.
+
 Soundness of the cancellation rules rests on the engine's contract that the
 graph only mutates through ``flush()``: between two flushes the graph the
 buffer consults is exactly the graph the pending operations will be applied
@@ -18,6 +22,7 @@ from __future__ import annotations
 
 from typing import Dict, Optional, Tuple
 
+from repro.errors import SelfLoopError
 from repro.graph.dynamic import EdgeDelta, _normalise_edge
 from repro.graph.static import Graph, Vertex
 
@@ -45,14 +50,25 @@ class IngestBuffer:
     # ------------------------------------------------------------------
     def insert(self, u: Vertex, v: Vertex) -> None:
         """Buffer the insertion of edge ``(u, v)``."""
+        if u == v:
+            raise SelfLoopError(u)
         self._offer(_normalise_edge((u, v)), 1)
 
     def remove(self, u: Vertex, v: Vertex) -> None:
         """Buffer the removal of edge ``(u, v)``."""
+        if u == v:
+            raise SelfLoopError(u)
         self._offer(_normalise_edge((u, v)), -1)
 
     def extend(self, delta: EdgeDelta) -> None:
-        """Buffer a whole delta (insertions first, matching ``delta.apply``)."""
+        """Buffer a whole delta (insertions first, matching ``delta.apply``).
+
+        All-or-nothing: a self-loop anywhere in ``delta`` raises before any
+        of its edges is buffered.
+        """
+        for u, v in delta.inserted + delta.removed:
+            if u == v:
+                raise SelfLoopError(u)
         for u, v in delta.inserted:
             self.insert(u, v)
         for u, v in delta.removed:

@@ -90,16 +90,3 @@ class FaultError(ReproError):
         super().__init__(f"injected fault at {site}" + (f": {detail}" if detail else ""))
         self.site = site
 
-
-class ShardTimeoutError(ReproError):
-    """Raised when a shard op misses its per-op deadline (the worker is
-    killed and the pool respawned; supervision retries or degrades)."""
-
-
-class ShardExecutionError(ReproError):
-    """Raised when supervised shard execution exhausts every recovery rung.
-
-    Surfaced only after the retry budget is spent *and* (under the process
-    executor) the serial fallback failed too; the engine reacts by degrading
-    the backend (see ``StreamingAVTEngine.health()``).
-    """

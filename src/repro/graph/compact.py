@@ -45,7 +45,6 @@ from repro.backends import (  # noqa: F401
     BACKEND_DICT,
     BACKEND_NUMBA,
     BACKEND_NUMPY,
-    BACKEND_SHARDED,
     BACKENDS,
     COMPACT_THRESHOLD,
     resolve_backend,

@@ -1,11 +1,11 @@
-"""Deterministic, seedable fault injection for the execution layers.
+"""Deterministic, seedable fault injection for the checkpoint layer.
 
-Production failures — a worker OOM-killed mid-exchange, a shard op that
-hangs, a checkpoint flipped on disk — are rare enough that their handling
-paths rot unless something exercises them on demand.  This module is that
-something: a :class:`FaultPlan` of injection points that the instrumented
-call sites consult via :func:`fire`, costing one module-global ``None``
-check when no plan is armed.
+Production failures — a checkpoint write that fails, a byte flipped on
+disk — are rare enough that their handling paths rot unless something
+exercises them on demand.  This module is that something: a
+:class:`FaultPlan` of injection points that the instrumented call sites
+consult via :func:`fire`, costing one module-global ``None`` check when no
+plan is armed.
 
 Sites and actions
 -----------------
@@ -15,10 +15,6 @@ Each :class:`FaultSpec` names a *site* (where the probe lives) and an
 ==================  ========================================================
 site                fired from
 ==================  ========================================================
-``shard.op``        every shard op dispatch (serial in-process and inside
-                    process-pool workers; context carries ``op``, ``shard``,
-                    ``executor``)
-``shm.attach``      :func:`repro.shard.shm.attach_state` (worker side)
 ``checkpoint.write``  :func:`repro.engine.checkpoint.write_state`, before
                     the atomic rename (``fail`` action simulates a flush
                     failure)
@@ -30,11 +26,7 @@ site                fired from
 ==========  ================================================================
 action      effect at the fire site
 ==========  ================================================================
-``crash``   ``os._exit(17)`` — only honoured where the call site passes
-            ``allow_crash=True`` (process-pool workers); elsewhere it is
-            downgraded to ``error`` so an injected "worker crash" can never
-            take down the coordinator process itself
-``slow``    ``time.sleep(delay)`` (pairs with the supervision deadline)
+``slow``    ``time.sleep(delay)``
 ``error``   raise :class:`repro.errors.FaultError`
 ``corrupt``  no inline effect; the spec is returned so the site applies its
             own corruption (e.g. the checkpoint byte flip)
@@ -58,13 +50,8 @@ Programmatic: :func:`install_plan` / :func:`clear_plan`, or the
 recognised keys are ``action``, ``at``, ``times``, ``rate``, ``delay`` and
 ``seed`` and **every other key becomes a context match filter**::
 
-    REPRO_FAULTS="shard.op:action=crash,executor=process,at=2"
-    REPRO_FAULTS="shard.op:action=slow,delay=30,op=hindex_round,shard=1"
+    REPRO_FAULTS="checkpoint.write:action=fail,at=2"
     REPRO_FAULTS="checkpoint.bytes:action=corrupt,section=core"
-
-The environment path matters for the process executor: spawn workers inherit
-``os.environ``, so an env-armed plan fires inside workers where an installed
-in-memory plan cannot reach.
 
 Every fired fault increments the ``resilience.faults_injected`` counter in
 the global metrics registry (labelled by site and action), lands in the
@@ -93,15 +80,11 @@ __all__ = [
     "parse_faults",
 ]
 
-ACTION_CRASH = "crash"
 ACTION_SLOW = "slow"
 ACTION_ERROR = "error"
 ACTION_CORRUPT = "corrupt"
 ACTION_FAIL = "fail"
-ACTIONS = (ACTION_CRASH, ACTION_SLOW, ACTION_ERROR, ACTION_CORRUPT, ACTION_FAIL)
-
-#: Exit status of an injected worker crash (recognisable in worker post-mortems).
-CRASH_EXIT_CODE = 17
+ACTIONS = (ACTION_SLOW, ACTION_ERROR, ACTION_CORRUPT, ACTION_FAIL)
 
 #: Reserved spec keys in the ``REPRO_FAULTS`` mini-language; everything else
 #: is a context match filter.
@@ -198,21 +181,13 @@ class FaultPlan:
 
     def fire(self, site: str, **context: Any) -> Optional[FaultSpec]:
         """Fire the first matching armed spec for ``site``; see :func:`fire`."""
-        allow_crash = bool(context.pop("allow_crash", False))
         for spec in self.specs:
             if spec.site != site or not spec.matches(context):
                 continue
             if not spec.should_fire():
                 continue
             action = spec.action
-            if action == ACTION_CRASH and not allow_crash:
-                # A "worker crash" outside a sacrificial worker process must
-                # not take the coordinator down; surface it as the error the
-                # supervision layer handles instead.
-                action = ACTION_ERROR
             _record_fault(site, action, spec, context)
-            if action == ACTION_CRASH:
-                os._exit(CRASH_EXIT_CODE)
             if action == ACTION_SLOW:
                 time.sleep(spec.delay)
                 return spec
@@ -378,11 +353,9 @@ def fire(site: str, **context: Any) -> Optional[FaultSpec]:
     """Consult the armed plan at an injection site.
 
     Returns ``None`` when nothing fires (the overwhelmingly common case — a
-    single ``is None`` + env check when no plan is armed).  ``crash`` /
-    ``slow`` / ``error`` actions take effect inline; ``corrupt`` / ``fail``
-    return the fired spec so the site applies the domain-specific effect.
-    Call sites running inside a sacrificial worker process pass
-    ``allow_crash=True``; everywhere else ``crash`` degrades to ``error``.
+    single ``is None`` + env check when no plan is armed).  ``slow`` /
+    ``error`` actions take effect inline; ``corrupt`` / ``fail`` return the
+    fired spec so the site applies the domain-specific effect.
     """
     plan = active_plan()
     if plan is None:

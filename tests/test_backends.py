@@ -10,7 +10,6 @@ from repro.backends import (
     BACKEND_DICT,
     BACKEND_NUMBA,
     BACKEND_NUMPY,
-    BACKEND_SHARDED,
     COMPACT_THRESHOLD,
     WORKLOAD_AMORTIZED,
     WORKLOAD_ONE_SHOT,
@@ -36,7 +35,7 @@ needs_numpy = pytest.mark.skipif(not numpy_available(), reason="numpy is not ins
 
 
 def _expected_auto_winner() -> str:
-    """What the priority ladder should pick on a large amortised workload."""
+    """What the fixed ladder should pick on a large amortised workload."""
     if numba_available():
         return BACKEND_NUMBA
     if numpy_available():
@@ -61,26 +60,18 @@ class TestRegistry:
         names = registered_backends()
         assert BACKEND_DICT in names and BACKEND_COMPACT in names and BACKEND_NUMPY in names
         assert BACKEND_NUMBA in names
-        assert BACKEND_SHARDED in names
 
     def test_available_backends_reflects_numpy_gate(self):
         names = available_backends()
         assert BACKEND_DICT in names and BACKEND_COMPACT in names
-        assert BACKEND_SHARDED in names  # pure stdlib, always available
         assert (BACKEND_NUMPY in names) == numpy_available()
         assert (BACKEND_NUMBA in names) == numba_available()
 
     def test_backend_info_rows(self):
         rows = {row["name"]: row for row in backend_info()}
-        assert rows[BACKEND_DICT]["available"] and rows[BACKEND_DICT]["config"] == {}
-        assert rows[BACKEND_COMPACT]["auto_priority"] > rows[BACKEND_DICT]["auto_priority"]
-        sharded = rows[BACKEND_SHARDED]
-        assert sharded["available"]
-        assert {"num_shards", "partitioner", "executor", "max_workers"} <= set(
-            sharded["config"]
-        )
-        # The multi-process backend must never win the auto policy.
-        assert sharded["auto_priority"] < rows[BACKEND_COMPACT]["auto_priority"]
+        assert set(rows) == set(registered_backends())
+        assert rows[BACKEND_DICT] == {"name": BACKEND_DICT, "available": True, "reason": None}
+        assert rows[BACKEND_NUMPY]["available"] == numpy_available()
 
     def test_get_backend_passes_instances_through(self):
         instance = get_backend("dict")
@@ -108,14 +99,15 @@ class TestRegistry:
     def test_unavailable_backend_rejected_by_name_and_skipped_by_auto(
         self, scratch_registry
     ):
-        register_backend(
-            "vapour", DictBackend, auto_priority=999, is_available=lambda: False
-        )
+        register_backend("vapour", DictBackend, is_available=lambda: False)
         assert "vapour" not in available_backends()
         with pytest.raises(ParameterError):
             get_backend("vapour")
-        # auto must skip the unavailable candidate despite its priority.
         assert resolve_backend("auto", COMPACT_THRESHOLD) != "vapour"
+
+    def test_auto_never_picks_a_custom_backend(self, scratch_registry):
+        register_backend("custom", DictBackend)
+        assert resolve_backend("auto", COMPACT_THRESHOLD) == _expected_auto_winner()
 
     def test_availability_is_probed_even_for_cached_instances(self, scratch_registry):
         available = True
@@ -330,7 +322,6 @@ class TestAvailabilityReasons:
         report = backend_availability()
         assert report[BACKEND_DICT] is None
         assert report[BACKEND_COMPACT] is None
-        assert report[BACKEND_SHARDED] is None
 
     def test_missing_import_reason(self, monkeypatch):
         # The env switch takes precedence, so clear it to probe the

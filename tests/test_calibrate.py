@@ -1,6 +1,6 @@
 """Tests for measured backend selection (:mod:`repro.backends.calibrate`).
 
-The calibration table replaces the registry's hard-coded ``auto_priority``
+The calibration table replaces the registry's fixed ``AUTO_LADDER``
 expectation with a measurement.  These tests pin the policy layering around
 it: per-band winner resolution, the priority-ladder fallbacks (no covering
 band, winner unavailable, no table), one-shot workloads staying on dict,

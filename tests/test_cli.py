@@ -51,18 +51,11 @@ class TestBackends:
     def test_backends_table(self, capsys):
         assert main(["backends"]) == 0
         output = capsys.readouterr().out
-        for name in ("dict", "compact", "numpy", "numba", "sharded"):
+        for name in ("dict", "compact", "numpy", "numba"):
             assert name in output
-        assert "auto_priority" in output
+        assert "sharded" not in output
         assert "reason" in output  # why an unavailable tier is being skipped
-        assert "num_shards=" in output  # the sharded worker/shard configuration
-        assert "exchange=" in output  # async vs lockstep boundary exchange
-        # The partition-quality section compares every registered partitioner
-        # on a clustered sample graph.
-        assert "partition quality" in output
-        assert "cut_ratio" in output
-        for name in ("hash", "degree_balanced", "community"):
-            assert name in output
+        assert "first available of numba, numpy and compact" in output
 
     def test_backends_table_names_the_disable_switch(self, capsys, monkeypatch):
         monkeypatch.setenv("REPRO_DISABLE_NUMBA", "1")
@@ -114,79 +107,6 @@ class TestCalibrate:
 
 
 class TestServeSim:
-    def test_serve_sim_with_sharded_backend(self, capsys):
-        code = main(
-            [
-                "serve-sim",
-                "--dataset",
-                "gnutella",
-                "--scale",
-                "0.12",
-                "--snapshots",
-                "3",
-                "--budget",
-                "2",
-                "--backend",
-                "sharded",
-                "--shards",
-                "2",
-            ]
-        )
-        assert code == 0
-        output = capsys.readouterr().out
-        assert "backend=sharded" in output
-
-    def test_serve_sim_with_community_partitioner(self, capsys):
-        code = main(
-            [
-                "serve-sim",
-                "--dataset",
-                "gnutella",
-                "--scale",
-                "0.12",
-                "--snapshots",
-                "3",
-                "--budget",
-                "2",
-                "--backend",
-                "sharded",
-                "--shards",
-                "2",
-                "--partitioner",
-                "community",
-            ]
-        )
-        assert code == 0
-        assert "backend=sharded" in capsys.readouterr().out
-
-    def test_shards_flag_requires_sharded_backend(self, capsys):
-        assert main(["serve-sim", "--dataset", "gnutella", "--shards", "2"]) == 2
-        assert "--shards requires" in capsys.readouterr().err
-
-    def test_partitioner_flag_requires_sharded_backend(self, capsys):
-        assert (
-            main(["serve-sim", "--dataset", "gnutella", "--partitioner", "community"])
-            == 2
-        )
-        assert "--partitioner requires" in capsys.readouterr().err
-
-    def test_unknown_partitioner_rejected(self, capsys):
-        assert (
-            main(
-                [
-                    "serve-sim",
-                    "--dataset",
-                    "gnutella",
-                    "--backend",
-                    "sharded",
-                    "--partitioner",
-                    "metis",
-                ]
-            )
-            == 2
-        )
-        assert "unknown partitioner" in capsys.readouterr().err
-
     def test_unknown_backend_flag_rejected(self, capsys):
         assert main(["serve-sim", "--dataset", "gnutella", "--backend", "warp"]) == 2
         assert "unknown backend" in capsys.readouterr().err

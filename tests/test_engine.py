@@ -20,7 +20,7 @@ from repro.engine import (
     save_checkpoint,
     write_state,
 )
-from repro.errors import CheckpointError, ParameterError
+from repro.errors import CheckpointError, ParameterError, SelfLoopError
 from repro.graph.datasets import toy_example_graph
 from repro.graph.dynamic import EdgeDelta
 from repro.graph.static import Graph
@@ -307,6 +307,13 @@ class TestEngineQueries:
         with pytest.raises(ParameterError):
             StreamingAVTEngine(toy_graph, batch_size=0)
 
+    def test_query_rejects_non_integer_parameters(self, toy_graph):
+        engine = StreamingAVTEngine(toy_graph)
+        for k, budget in ((True, 1), (3, 1.5), (2.0, 1), (3, False), ("3", 1)):
+            with pytest.raises(ParameterError):
+                engine.query(k, budget)
+        assert engine.stats.queries == 0
+
     def test_engine_on_empty_graph(self):
         engine = StreamingAVTEngine()
         result = engine.query(2, 1)
@@ -338,6 +345,18 @@ class TestEngineStats:
     def test_snapshot_ignores_unknown_keys(self):
         restored = EngineStats.from_snapshot({"queries": 2, "future_counter": 9})
         assert restored.queries == 2
+
+    def test_snapshot_with_removed_degradation_counters_loads(self):
+        removed = ("degradations", "recovery_probes", "recoveries")
+        entries = EngineStats(queries=3, cache_hits=1).snapshot() + [
+            {"name": f"engine.{name}", "type": "counter", "value": 2, "labels": {}}
+            for name in removed
+        ]
+        restored = EngineStats.from_snapshot(entries)
+        assert restored == EngineStats(queries=3, cache_hits=1)
+        flat = EngineStats.from_snapshot({"queries": 3, **{name: 2 for name in removed}})
+        assert flat.queries == 3
+        assert not any(name in flat.values() for name in removed)
 
     def test_mean_latency_paths(self):
         stats = EngineStats(cache_hits=2, hit_seconds=0.4)
@@ -438,3 +457,74 @@ class TestCheckpoint:
             write_state({"vertex": lambda: None}, path)
         assert not path.exists()
         assert not path.with_name(path.name + ".tmp").exists()
+
+
+# ---------------------------------------------------------------------------
+# Invalid events never half-apply a batch
+# ---------------------------------------------------------------------------
+class TestSelfLoopRejection:
+    def test_failed_ingest_mutates_and_buffers_nothing(self):
+        graph = Graph(edges=[(0, 1), (1, 2), (2, 3), (3, 4)])
+        engine = StreamingAVTEngine(graph, batch_size=None)
+        engine.ingest_insert(5, 2)
+        ingested = engine.stats.updates_ingested
+        with pytest.raises(SelfLoopError):
+            engine.ingest_insert(6, 6)
+        with pytest.raises(SelfLoopError):
+            engine.ingest_remove(3, 3)
+        with pytest.raises(SelfLoopError):
+            engine.ingest(EdgeDelta.from_iterables(inserted=[(0, 4), (7, 7)]))
+        # Only the valid event is pending; the graph has not moved yet.
+        assert engine.pending_updates == 1
+        assert engine.stats.updates_ingested == ingested
+        assert engine.graph == graph
+        assert engine.graph_version == 0
+
+        effect = engine.flush()
+        assert effect.touched
+        assert engine.graph.has_edge(5, 2)
+        assert not engine.graph.has_vertex(6) and not engine.graph.has_vertex(7)
+        assert engine.graph_version == 1
+        assert engine.health()["status"] == "ok"
+        assert engine.health()["pending_updates"] == 0
+        assert engine.core_numbers() == core_numbers(engine.graph)
+        with pytest.raises(ParameterError):
+            engine.query(True, 1.5)
+
+    def test_buffer_rejects_self_loops_before_taking_any_edge(self):
+        buffer = IngestBuffer()
+        with pytest.raises(SelfLoopError):
+            buffer.extend(EdgeDelta.from_iterables(inserted=[(1, 2)], removed=[(3, 3)]))
+        assert buffer.is_empty() and buffer.ingested == 0
+
+
+# ---------------------------------------------------------------------------
+# Checkpoints whose backend cannot be resolved here
+# ---------------------------------------------------------------------------
+class TestCheckpointUnavailableBackendFallback:
+    """Restoring a checkpoint whose persisted backend is unavailable in this
+    process falls back to "auto" with a warning."""
+
+    def test_sharded_checkpoint_restores_under_auto(self, toy_graph, tmp_path):
+        engine = StreamingAVTEngine(toy_graph, backend="dict", batch_size=None)
+        engine.query(3, 2)
+        state = engine.to_state()
+        # The shape a checkpoint had when a multi-process backend existed.
+        state["backend"] = "sharded"
+        state["backend_config"] = {"num_shards": 3, "partitioner": "hash", "executor": "serial"}
+        state["stats"] = state["stats"] + [
+            {"name": f"engine.{name}", "type": "counter", "value": 1, "labels": {}}
+            for name in ("degradations", "recovery_probes", "recoveries")
+        ]
+        path = tmp_path / "sharded.ckpt"
+        write_state(state, path)
+        with pytest.warns(RuntimeWarning, match="sharded"):
+            restored = StreamingAVTEngine.restore(path)
+        assert restored.health()["backend_policy"] == "auto"
+        assert restored.core_numbers() == engine.core_numbers()
+        assert restored.stats.queries == engine.stats.queries
+        for k, budget in ((3, 2), (2, 3)):
+            live, again = engine.query(k, budget), restored.query(k, budget)
+            assert again.anchors == live.anchors
+            assert again.followers == live.followers
+        assert "backend_config" not in restored.to_state()

@@ -30,7 +30,6 @@ from repro.anchored.anchored_core import AnchoredCoreIndex
 from repro.anchored.greedy import GreedyAnchoredKCore
 from repro.backends import CoreIndexKernel, numpy_available
 from repro.backends.dict_backend import DictBackend, DictCoreIndexKernel
-from repro.backends.sharded_backend import ShardedBackend
 from repro.graph.generators import chung_lu_graph
 from repro.graph.static import Graph
 from repro.ordering import tie_break_key
@@ -41,8 +40,6 @@ SETTINGS = settings(
     suppress_health_check=[HealthCheck.too_slow],
 )
 
-SHARDED = ShardedBackend(num_shards=3)
-
 BACKENDS = [
     "dict",
     "compact",
@@ -50,7 +47,6 @@ BACKENDS = [
         "numpy",
         marks=pytest.mark.skipif(not numpy_available(), reason="numpy is not installed"),
     ),
-    pytest.param(SHARDED, id="sharded"),
 ]
 
 VERTEX_POOLS = (
