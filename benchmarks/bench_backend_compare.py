@@ -27,7 +27,10 @@ legitimately dominates).  Results land in
 ``benchmarks/results/BENCH_backend.json`` plus ``BENCH_numpy.json`` (when
 numpy is installed) and ``BENCH_incremental.json`` with the
 incremental-vs-full Greedy record (per-round commit latency, candidate
-re-evaluation counts).  Every record carries a ``floors`` block enforced both here and by
+re-evaluation counts) and a ``commit_scaling`` section: per-commit p50/p90
+on every id-array backend at 12.5k, 25k, 50k and 100k vertices (scaled by
+``AVT_BENCH_BACKEND_VERTICES``), plus full-refresh commits at the largest
+size, whose numpy ratio to incremental commits is a floor.  Every record carries a ``floors`` block enforced both here and by
 ``python -m repro.bench.compare`` in CI, so a recorded speedup regressing
 below its floor fails loudly.
 """
@@ -37,8 +40,9 @@ from __future__ import annotations
 import os
 import time
 
+from repro.anchored.anchored_core import AnchoredCoreIndex
 from repro.anchored.greedy import GreedyAnchoredKCore
-from repro.backends import numpy_available
+from repro.backends import numba_available, numpy_available
 from repro.bench.compare import floor_failures
 from repro.bench.reporting import format_table, write_bench_json
 from repro.cores.decomposition import core_decomposition, k_core
@@ -63,10 +67,121 @@ REQUIRED_NUMPY_PEEL_RATIO = 1.0
 #: full-recompute Greedy end-to-end on the compact backend at this budget.
 INCREMENTAL_BUDGET = 8
 REQUIRED_INCREMENTAL_SPEEDUP = 2.0
+#: Graph sizes of the commit-scaling record at full size; a smoke run scales
+#: them by ``AVT_BENCH_BACKEND_VERTICES / DEFAULT_NUM_VERTICES``.
+COMMIT_SCALING_SIZES = (12_500, 25_000, 50_000, 100_000)
+#: At the largest size, a full-refresh commit plus the next candidate scan on
+#: the numpy backend must cost at least this many times an incremental one.
+#: Measured 6.7-10.3x at 100k vertices on a 2-CPU box; the floor keeps more
+#: than 2x headroom below that.
+REQUIRED_COMMIT_REFRESH_RATIO = 3.0
 
 
 def _num_vertices() -> int:
     return int(os.environ.get("AVT_BENCH_BACKEND_VERTICES", DEFAULT_NUM_VERTICES))
+
+
+def _percentile(samples, fraction):
+    ordered = sorted(samples)
+    return ordered[min(len(ordered) - 1, int(fraction * len(ordered)))]
+
+
+def _commit_latencies(graph, anchors, backend, full_refresh):
+    """Per-commit seconds for committing ``anchors`` one by one.
+
+    Returns ``(commit, commit_and_scan)`` sample lists.  ``commit`` times the
+    commit alone; ``commit_and_scan`` adds the order-pruned candidate scan
+    Greedy runs next, because removal orders are derived lazily and part of
+    a commit's cost is paid by that scan.  ``full_refresh`` replaces the
+    incremental commit with a whole-snapshot anchored re-peel.
+    """
+    index = AnchoredCoreIndex(graph, K, backend=backend)
+    index.candidate_anchors()
+    commit, commit_and_scan = [], []
+    for position, anchor in enumerate(anchors):
+        started = time.perf_counter()
+        if full_refresh:
+            index.set_anchors(anchors[: position + 1])
+        else:
+            index.commit_anchor(anchor)
+        committed = time.perf_counter()
+        index.candidate_anchors()
+        commit.append(committed - started)
+        commit_and_scan.append(time.perf_counter() - started)
+    return commit, commit_and_scan
+
+
+def _latency_summary(commit, commit_and_scan):
+    return {
+        "commits": len(commit),
+        "commit_ms_p50": 1e3 * _percentile(commit, 0.5),
+        "commit_ms_p90": 1e3 * _percentile(commit, 0.9),
+        "commit_scan_ms_p50": 1e3 * _percentile(commit_and_scan, 0.5),
+        "commit_scan_ms_p90": 1e3 * _percentile(commit_and_scan, 0.9),
+    }
+
+
+def run_commit_scaling():
+    """Per-commit latency against graph size on every id-array backend.
+
+    The anchors are Greedy's (identical on every backend) at each size; at
+    the largest size the same commits are also replayed as full refreshes.
+    The enforced floor is the numpy ratio of full-refresh to incremental
+    commit-plus-scan time (p50), so work a lazy commit defers to the next
+    scan is charged to it.
+    """
+    scale = _num_vertices() / DEFAULT_NUM_VERTICES
+    sizes = [max(64, int(size * scale)) for size in COMMIT_SCALING_SIZES]
+    backends = (
+        ["compact"]
+        + (["numpy"] if numpy_available() else [])
+        + (["numba"] if numba_available() else [])
+    )
+    rows = []
+    full_refresh = {}
+    for num_vertices in sizes:
+        graph = chung_lu_graph(num_vertices, EDGE_FACTOR * num_vertices, seed=SEED)
+        anchors = list(
+            GreedyAnchoredKCore(
+                graph, K, INCREMENTAL_BUDGET, backend=backends[-1]
+            ).select().anchors
+        )
+        for backend in backends:
+            incremental = _latency_summary(
+                *_commit_latencies(graph, anchors, backend, full_refresh=False)
+            )
+            rows.append({"num_vertices": num_vertices, "backend": backend, **incremental})
+            if num_vertices == sizes[-1]:
+                refresh = _latency_summary(
+                    *_commit_latencies(graph, anchors, backend, full_refresh=True)
+                )
+                for stage in ("commit", "commit_scan"):
+                    refresh[f"{stage}_ratio_p50"] = refresh[f"{stage}_ms_p50"] / max(
+                        incremental[f"{stage}_ms_p50"], 1e-9
+                    )
+                full_refresh[backend] = refresh
+    payload = {
+        "sizes": sizes,
+        "backends": backends,
+        "per_commit": rows,
+        "full_refresh_at_largest": full_refresh,
+        "floor": {
+            "value": full_refresh.get("numpy", {}).get("commit_scan_ratio_p50", 0.0),
+            "floor": REQUIRED_COMMIT_REFRESH_RATIO,
+            "enforced": "numpy" in full_refresh
+            and _num_vertices() >= SPEEDUP_ENFORCEMENT_FLOOR,
+        },
+    }
+    report = format_table(
+        [
+            {
+                key: round(value, 3) if isinstance(value, float) else value
+                for key, value in row.items()
+            }
+            for row in rows
+        ]
+    )
+    return payload, report
 
 
 def run_compare():
@@ -176,7 +291,8 @@ def run_incremental_compare():
     delta-refresh contract) solved twice: once with ``incremental=False``
     (the PR-4 behaviour — full anchored re-peel per commit, every candidate
     cascaded every round) and once with the default incremental path
-    (order-suffix commit splice + memoized gains).
+    (local anchor commits with lazily derived shell orders + memoized
+    gains).
     """
     num_vertices = _num_vertices()
     graph = chung_lu_graph(num_vertices, EDGE_FACTOR * num_vertices, seed=SEED)
@@ -302,7 +418,10 @@ def test_backend_compare(benchmark, results_dir, record_report):
 
 def test_incremental_compare(benchmark, results_dir, record_report):
     payload, report = benchmark.pedantic(run_incremental_compare, rounds=1, iterations=1)
-    record_report("incremental_compare", report)
+    scaling, scaling_report = run_commit_scaling()
+    payload["commit_scaling"] = scaling
+    payload["floors"]["numpy_full_refresh_over_incremental_commit"] = scaling.pop("floor")
+    record_report("incremental_compare", report + "\n\n" + scaling_report)
     write_bench_json(
         results_dir / "BENCH_incremental.json",
         "incremental_refresh",

@@ -113,10 +113,13 @@ kernel         ``commit_anchor`` path
                core numbers (+1 each, the single-anchor shell lemma), only
                shells whose membership or starting degrees changed re-run
                their within-shell order cascade
-``compact``    the same splice over flat id arrays
-               (:func:`repro.cores.decomposition.incremental_anchor_commit`)
-``numpy``      shares the compact splice (the region is scalar-sized work)
-``numba``      shares the compact splice too, then patches its float64 core
+``compact``    local commit over flat id arrays
+               (:func:`repro.cores.decomposition.incremental_anchor_commit`):
+               riser cascades update the core numbers, affected shells are
+               only marked dirty and their orders re-derived when read
+``numpy``      the same local commit, risers from the vectorised follower
+               cascade; a refresh computes core numbers only
+``numba``      inherits the compact commit, then patches its float64 core
                mirror for the touched ids
 custom         inherits the protocol default — full refresh, touched
                unknown (``None``) — so third-party kernels keep working

@@ -12,9 +12,10 @@ recomputation *within* a snapshot without changing a single result:
 
 * **Incremental anchor commits.**  Committing the round's winner goes through
   :meth:`~repro.anchored.anchored_core.AnchoredCoreIndex.commit_anchor`, the
-  kernels' delta-refresh path (order-suffix re-peel splice), which also
-  reports the exact *touched set* of vertices whose anchored core number
-  changed.
+  kernels' delta-refresh path (per-level riser cascades over the affected
+  region; removal orders are re-derived lazily, only for the shell the next
+  candidate scan reads), which also reports the exact *touched set* of
+  vertices whose anchored core number changed.
 * **Memoized marginal gains.**  A candidate's evaluation reads only the core
   numbers of its explored shell-local region, the candidate, and their
   neighbours.  Each evaluation is cached together with that region; after a

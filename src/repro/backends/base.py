@@ -40,14 +40,22 @@ anchored core number changed (the new anchor included, finite → infinity),
 or ``None`` when the kernel cannot bound the change, in which case callers
 must assume anything may have changed.  Kernels that do not override it fall
 back to a full refresh (and return ``None``), so custom backends keep
-working unchanged; the dict and compact kernels apply an affected-region
-splice instead (per-level riser cascades for the core numbers, re-ordering
-only the shells whose membership or starting degrees changed — see
-:func:`repro.cores.decomposition.incremental_anchor_commit` for the
-algorithm and its correctness argument), the numpy kernel shares that
-splice.  Positional rank shifts are deliberately *not* reported as touched:
-no query result depends on absolute positions except through the candidate
-scans, which read the (bit-identically spliced) rank state directly.
+working unchanged.  The dict kernel applies an affected-region splice:
+per-level riser cascades for the core numbers, then a re-ordering of only
+the shells whose membership or starting degrees changed.  The compact,
+numpy and numba kernels update only the core numbers of the affected region
+(:func:`repro.cores.decomposition.incremental_anchor_commit` documents the
+algorithm and its correctness argument; each level's risers come from the
+kernel's own follower cascade) and mark the affected shells dirty.
+
+Removal ranks are a lazily materialised view in those kernels
+(:class:`repro.cores.decomposition.ShellOrderStore`): a shell's order is
+derived only when a reader needs it — the order-pruned candidate scan reads
+shell ``k - 1``, :meth:`CoreIndexKernel.removal_ranks` reads every shell —
+and is then exactly the order a full refresh would produce.  Positional
+rank shifts are deliberately *not* reported as touched: no query result
+depends on absolute positions except through the candidate scans, which
+read the (bit-identical) shell orders directly.
 """
 
 from __future__ import annotations
@@ -148,7 +156,8 @@ class CoreIndexKernel(ABC):
 
         Optional introspection (tests and diagnostics): position of every
         vertex in the removal order of the last refresh/commit.  Kernels that
-        do not track ranks per vertex may return ``None``.
+        derive orders lazily materialise every shell here.  Kernels that do
+        not track ranks per vertex may return ``None``.
         """
         return None
 

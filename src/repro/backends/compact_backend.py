@@ -27,11 +27,14 @@ from repro.backends.base import (
     MaintenanceKernel,
 )
 from repro.cores.decomposition import (
+    ANCHOR_CORE,
     CoreDecomposition,
+    ShellOrderStore,
     apply_shell_moves,
     build_shell_index,
     compact_k_core_ids,
     compact_peel,
+    compact_shell_order_ids,
     incremental_anchor_commit,
 )
 from repro.graph.compact import CompactGraph, DynamicCompactAdjacency
@@ -45,32 +48,40 @@ class CompactCoreIndexKernel(CoreIndexKernel):
     forbids graph mutation) and every refresh, scan and cascade runs over
     flat int arrays indexed by vertex id.  A shell index (``{core value:
     member id set}``) backs the per-round size queries in O(#levels) /
-    O(|shell|) instead of O(n) scans, and :meth:`commit_anchor` applies the
-    affected-region splice (:func:`repro.cores.decomposition.incremental_anchor_commit`)
-    — per-level riser cascades plus re-ordering only the affected shells —
-    instead of re-peeling the whole snapshot.
+    O(|shell|) instead of O(n) scans.  :meth:`commit_anchor` updates only
+    the core numbers of the affected region
+    (:func:`repro.cores.decomposition.incremental_anchor_commit`, risers from
+    :func:`~repro.anchored.followers.compact_marginal_followers`) and marks
+    the affected shells' orders dirty in a
+    :class:`~repro.cores.decomposition.ShellOrderStore`; a refresh seeds
+    every shell clean from the order its peel already produced.
     """
 
     def __init__(self, graph: Graph) -> None:
         self._cgraph = CompactGraph.from_graph(graph, ordered=True)
         self._core_ids: List[float] = []
-        self._rank_ids: List[int] = []
-        self._order_ids: List[int] = []
         self._anchor_ids: Set[int] = set()
         self._shell_ids: Dict[float, Set[int]] = {}
+        self._orders = ShellOrderStore([0] * self._cgraph.num_vertices)
         self._core_map_cache: Optional[Dict[Vertex, float]] = None
+
+    def _materialise_shell(self, level: int) -> List[int]:
+        cgraph = self._cgraph
+        return compact_shell_order_ids(
+            cgraph.indptr,
+            cgraph.indices,
+            self._core_ids,
+            sorted(self._shell_ids.get(level, ())),
+            level,
+        )
 
     def refresh(self, anchors: Set[Vertex]) -> None:
         interner = self._cgraph.interner
         self._anchor_ids = {interner.id_of(anchor) for anchor in anchors}
         core_ids, order_ids = compact_peel(self._cgraph, self._anchor_ids)
         self._core_ids = core_ids
-        self._order_ids = order_ids
-        rank_ids = [0] * len(core_ids)
-        for position, vid in enumerate(order_ids):
-            rank_ids[vid] = position
-        self._rank_ids = rank_ids
         self._shell_ids = build_shell_index(enumerate(core_ids))
+        self._orders.seed(order_ids, core_ids)
         self._core_map_cache = None
 
     def commit_anchor(
@@ -79,23 +90,27 @@ class CompactCoreIndexKernel(CoreIndexKernel):
         cgraph = self._cgraph
         new_id = cgraph.interner.id_of(vertex)
         self._anchor_ids.add(new_id)
-        touched = incremental_anchor_commit(
+        core_ids = self._core_ids
+        touched, affected = incremental_anchor_commit(
             cgraph.indptr,
             cgraph.indices,
-            self._core_ids,
-            self._rank_ids,
-            self._order_ids,
+            core_ids,
             new_id,
+            lambda j: compact_marginal_followers(cgraph, j, new_id, core_ids)[0],
         )
-        apply_shell_moves(self._shell_ids, touched, self._core_ids)
+        self._orders.discard(affected)
+        apply_shell_moves(self._shell_ids, touched, core_ids)
         self._core_map_cache = None
         vertices = cgraph.interner.vertices
         return frozenset(vertices[vid] for vid, _ in touched)
 
     def removal_ranks(self) -> Mapping[Vertex, int]:
         vertices = self._cgraph.interner.vertices
-        rank_ids = self._rank_ids
-        return {vertices[vid]: rank_ids[vid] for vid in range(len(vertices))}
+        levels = [level for level in self._shell_ids if level != ANCHOR_CORE]
+        order = self._orders.removal_order(
+            levels, self._anchor_ids, self._materialise_shell
+        )
+        return {vertices[vid]: position for position, vid in enumerate(order)}
 
     def core_of(self, vertex: Vertex) -> float:
         return self._core_ids[self._cgraph.interner.id_of(vertex)]
@@ -128,25 +143,35 @@ class CompactCoreIndexKernel(CoreIndexKernel):
         return self._cgraph.interner.translate(compact_k_core_ids(self._cgraph, k))
 
     def candidate_anchors(self, k: int, order_pruning: bool) -> Set[Vertex]:
+        # A candidate is a non-core neighbour of a shell-(k-1) member, so the
+        # scan walks only the shell's rows.  Lower shells precede shell
+        # k - 1 in the removal order; only a same-shell pair compares
+        # within-shell positions.
         target = k - 1
+        members = self._shell_ids.get(target)
+        if not members:
+            return set()
+        if order_pruning:
+            self._orders.order(target, self._materialise_shell)
+            positions = self._orders.positions
         cgraph = self._cgraph
         indptr = cgraph.indptr
         indices = cgraph.indices
         core_ids = self._core_ids
-        rank_ids = self._rank_ids
-        candidates: List[int] = []
-        for vid in range(len(core_ids)):
-            # Anchored ids carry core infinity, so this also excludes them.
-            if core_ids[vid] >= k:
-                continue
-            rank = rank_ids[vid]
+        candidates: Set[int] = set()
+        for vid in members:
             for position in range(indptr[vid], indptr[vid + 1]):
                 neighbour = indices[position]
-                if core_ids[neighbour] != target:
+                # Anchored ids carry core infinity, so this also excludes them.
+                value = core_ids[neighbour]
+                if value >= k:
                     continue
-                if not order_pruning or rank_ids[neighbour] > rank:
-                    candidates.append(vid)
-                    break
+                if (
+                    not order_pruning
+                    or value < target
+                    or positions[vid] > positions[neighbour]
+                ):
+                    candidates.add(neighbour)
         return cgraph.interner.translate(candidates)
 
     def non_core_vertices(self, k: int) -> Set[Vertex]:

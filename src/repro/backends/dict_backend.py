@@ -134,7 +134,7 @@ class DictCoreIndexKernel(CoreIndexKernel):
         """Removal order within one shell (the Phase-B reconstruction).
 
         The hashable-vertex twin of
-        :func:`repro.cores.decomposition._shell_order_ids`: members in
+        :func:`repro.cores.decomposition.compact_shell_order_ids`: members in
         tie-break order, each starting at its count of ``core >= level``
         neighbours, only same-shell removals decrement.
         """

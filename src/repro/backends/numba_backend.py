@@ -24,7 +24,7 @@ machine-code loops over the same :class:`~repro.graph.compact.VertexInterner`
   confluent, so traversal order never changes the returned sets.
 
 Everything else on the :class:`~repro.backends.base.CoreIndexKernel` surface
-(candidate scans, shell index upkeep, the incremental anchor-commit splice)
+(candidate scans, shell index upkeep, the incremental anchor commit)
 is inherited from the compact kernel — only the hot loops are compiled.
 
 Import gating mirrors the numpy backend: this module is only loaded by the
@@ -533,8 +533,9 @@ class NumbaCoreIndexKernel(CompactCoreIndexKernel):
     """Anchored-core-index state with the hot loops JIT-compiled.
 
     Inherits the compact kernel's state (ordered CSR snapshot, shell index,
-    the incremental anchor-commit splice) and overrides exactly the hot
-    paths: refresh runs :func:`_peel_kernel`, the follower evaluations run
+    lazily derived shell orders, the local anchor commit) and overrides
+    exactly the hot paths: refresh runs :func:`_peel_kernel` and seeds every
+    shell order from its removal order, the follower evaluations run
     the compiled cascades over a float64 mirror of the core numbers, with
     epoch-stamped scratch arrays shared across calls.
     """
@@ -566,14 +567,9 @@ class NumbaCoreIndexKernel(CompactCoreIndexKernel):
         # Mirror into the inherited list state so every compact query method
         # (candidate scans, shell index, the commit splice) works unchanged.
         core_ids = core_arr.tolist()
-        order_ids = order_arr.tolist()
         self._core_ids = core_ids
-        self._order_ids = order_ids
-        rank_ids = [0] * len(core_ids)
-        for position, vid in enumerate(order_ids):
-            rank_ids[vid] = position
-        self._rank_ids = rank_ids
         self._shell_ids = build_shell_index(enumerate(core_ids))
+        self._orders.seed(order_arr.tolist(), core_ids)
         self._core_map_cache = None
 
     def commit_anchor(

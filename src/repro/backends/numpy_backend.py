@@ -4,16 +4,23 @@ Reuses the :class:`~repro.graph.compact.VertexInterner` / CSR snapshot
 contract of the compact backend but stores ``indptr`` / ``indices`` as numpy
 arrays and replaces the per-vertex Python loops with array passes:
 
-* **Peeling** runs in two phases.  Phase A computes the core numbers with
-  vectorised wave peeling (kill every vertex at or below the current level at
-  once, decrement the survivors' effective degrees with one ``bincount`` per
-  wave).  Phase B reconstructs the *exact* removal order of the reference
-  heap peel shell by shell: each shell's starting effective degrees
-  (``# neighbours with core >= c``) come from one vectorised pass, and the
-  within-shell cascade — the only genuinely sequential part — runs a packed
-  single-int heap over the same-shell subgraph only.  Because every
+* **Peeling** runs in two phases.  Phase A (:func:`numpy_core_numbers`)
+  computes the core numbers with vectorised wave peeling (kill every vertex
+  at or below the current level at once, decrement the survivors' effective
+  degrees with one ``bincount`` per wave).  Phase B
+  (:func:`numpy_shell_order`, once per shell) reconstructs the *exact*
+  removal order of the reference heap peel: a shell's starting effective
+  degrees (``# neighbours with core >= c``) come from one vectorised pass,
+  and the within-shell cascade — the only genuinely sequential part — runs a
+  packed single-int heap over the same-shell subgraph only.  Because every
   cross-shell edge is handled by the vectorised passes, the sequential loop
-  touches a fraction of the edges the compact backend's heap does.
+  touches a fraction of the edges the compact backend's heap does.  The
+  one-shot decomposition runs both phases; the core index runs Phase A on a
+  refresh and Phase B lazily, for the shells a reader asks for.
+* **Anchor commits** update only the core numbers of the affected region
+  (:func:`repro.cores.decomposition.incremental_anchor_commit`), with each
+  level's risers taken from the vectorised follower cascade, and mark the
+  affected shells' orders dirty.
 * **Cascades** (k-core, follower support counts) are wave-vectorised: support
   counters come from masked ``bincount`` over gathered neighbour ranges and
   whole removal fronts are processed per iteration.  Deletion cascades are
@@ -46,6 +53,7 @@ from repro.backends.compact_backend import CompactMaintenanceKernel
 from repro.cores.decomposition import (
     ANCHOR_CORE,
     CoreDecomposition,
+    ShellOrderStore,
     incremental_anchor_commit,
 )
 from repro.graph.compact import CompactGraph
@@ -158,18 +166,17 @@ def _drain_scalar(ngraph, eff, alive, peelable, seeds, limit, core=None, level=0
     return killed
 
 
-def numpy_peel(ngraph: NumpyGraph, anchor_ids: Iterable[int] = ()):
-    """Peel a numpy snapshot; return ``(core array, removal order)`` by id.
+def numpy_core_numbers(ngraph: NumpyGraph, anchor_ids: Iterable[int] = ()):
+    """Core numbers of a numpy snapshot by wave peeling (Phase A).
 
-    Bit-identical to :func:`repro.cores.decomposition.compact_peel` on an
-    ordered snapshot: same core numbers, same removal order, anchors mapped
-    to infinity and appended last by id.
+    Returns a float64 array indexed by id with anchors mapped to infinity;
+    identical to the core numbers of
+    :func:`repro.cores.decomposition.compact_peel`.
     """
     n = ngraph.num_vertices
     core = np.zeros(n, dtype=np.float64)
-    order: List[int] = []
     if n == 0:
-        return core, order
+        return core
     indptr = ngraph.indptr
     indices = ngraph.indices
 
@@ -182,12 +189,11 @@ def numpy_peel(ngraph: NumpyGraph, anchor_ids: Iterable[int] = ()):
     eff = ngraph.degrees.astype(np.int64)
     remaining = int(peelable.sum())
 
-    # Phase A: core numbers by wave peeling.  ``level`` mirrors the heap
-    # peel's running-max ``current_core``.  Each full-array scan happens once
-    # per *level* (levels strictly increase); within a level, the next wave's
-    # frontier is derived from the just-decremented neighbours only, keeping
-    # the cascade O(m) instead of O(n * waves) on long-cascade graphs (paths,
-    # grids).
+    # ``level`` mirrors the heap peel's running-max ``current_core``.  Each
+    # full-array scan happens once per *level* (levels strictly increase);
+    # within a level, the next wave's frontier is derived from the
+    # just-decremented neighbours only, keeping the cascade O(m) instead of
+    # O(n * waves) on long-cascade graphs (paths, grids).
     level = 0
     while remaining:
         active = alive & peelable
@@ -216,52 +222,78 @@ def numpy_peel(ngraph: NumpyGraph, anchor_ids: Iterable[int] = ()):
 
     if anchor_list:
         core[is_anchor] = math.inf
+    return core
 
-    # Phase B: exact removal order, shell by shell.  At the instant shell c
-    # starts peeling every lower shell is gone and nothing else pops until
-    # the shell is exhausted, so the starting effective degree of a shell
-    # vertex is its count of core >= c neighbours (anchors are inf) and only
-    # same-shell removals change it — the reference heap order restricted to
-    # the shell is reproduced with a packed local heap over the same-shell
-    # subgraph.
-    finite = core[peelable] if anchor_list else core
-    levels = np.unique(finite).astype(np.int64) if finite.size else finite
+
+def numpy_shell_order(ngraph: NumpyGraph, core, level: int) -> List[int]:
+    """Exact removal order within shell ``level`` (Phase B, one shell).
+
+    At the instant shell ``level`` starts peeling every lower shell is gone
+    and nothing else pops until the shell is exhausted, so the starting
+    effective degree of a shell vertex is its count of ``core >= level``
+    neighbours (anchors are inf) and only same-shell removals change it —
+    the reference heap order restricted to the shell is reproduced with a
+    packed local heap over the same-shell subgraph.  The degree counts and
+    the subgraph come from vectorised passes; only the cascade is scalar.
+    """
+    shell = np.nonzero(core == level)[0]
+    size = int(shell.size)
+    if size == 0:
+        return []
+    nbrs, counts = _gather(ngraph.indptr, ngraph.indices, shell)
+    member_row = np.repeat(np.arange(size, dtype=np.int64), counts)
+    nbr_core = core[nbrs]
+    start_eff = np.bincount(member_row[nbr_core >= level], minlength=size)
+    same = nbr_core == level
+    position = np.full(ngraph.num_vertices, -1, dtype=np.int64)
+    position[shell] = np.arange(size)
+    sub_counts = np.bincount(member_row[same], minlength=size)
+    sub_indptr = np.concatenate(([0], np.cumsum(sub_counts))).tolist()
+    sub_indices = position[nbrs[same]].tolist()
+
+    shell_list = shell.tolist()
+    eff_local = start_eff.tolist()
+    heap = (start_eff * size + np.arange(size)).tolist()
+    heapq.heapify(heap)
     heappush = heapq.heappush
     heappop = heapq.heappop
-    for c in levels.tolist():
-        shell = np.nonzero(peelable & (core == c))[0]
-        size = int(shell.size)
-        nbrs, counts = _gather(indptr, indices, shell)
-        member_row = np.repeat(np.arange(size, dtype=np.int64), counts)
-        start_eff = np.bincount(member_row[core[nbrs] >= c], minlength=size)
-        same = core[nbrs] == c
-        position = np.full(n, -1, dtype=np.int64)
-        position[shell] = np.arange(size)
-        sub_counts = np.bincount(member_row[same], minlength=size)
-        sub_indptr = np.concatenate(([0], np.cumsum(sub_counts))).tolist()
-        sub_indices = position[nbrs[same]].tolist()
+    popped = bytearray(size)
+    order: List[int] = []
+    while heap:
+        entry = heappop(heap)
+        degree, local = divmod(entry, size) if size > 1 else (entry, 0)
+        if popped[local] or degree != eff_local[local]:
+            continue
+        popped[local] = 1
+        order.append(shell_list[local])
+        for slot in range(sub_indptr[local], sub_indptr[local + 1]):
+            neighbour = sub_indices[slot]
+            if not popped[neighbour]:
+                slack = eff_local[neighbour] - 1
+                eff_local[neighbour] = slack
+                heappush(heap, slack * size + neighbour)
+    return order
 
-        shell_list = shell.tolist()
-        eff_local = start_eff.tolist()
-        heap = (start_eff * size + np.arange(size)).tolist() if size else []
-        heapq.heapify(heap)
-        popped = bytearray(size)
-        while heap:
-            entry = heappop(heap)
-            degree, local = divmod(entry, size) if size > 1 else (entry, 0)
-            if popped[local] or degree != eff_local[local]:
-                continue
-            popped[local] = 1
-            order.append(shell_list[local])
-            for slot in range(sub_indptr[local], sub_indptr[local + 1]):
-                neighbour = sub_indices[slot]
-                if not popped[neighbour]:
-                    slack = eff_local[neighbour] - 1
-                    eff_local[neighbour] = slack
-                    heappush(heap, slack * size + neighbour)
 
-    for vid in np.nonzero(is_anchor)[0].tolist():
-        order.append(vid)
+def _finite_levels(core) -> List[int]:
+    """The distinct finite core values of ``core``, ascending."""
+    return np.unique(core[~np.isinf(core)]).astype(np.int64).tolist()
+
+
+def numpy_peel(ngraph: NumpyGraph, anchor_ids: Iterable[int] = ()):
+    """Peel a numpy snapshot; return ``(core array, removal order)`` by id.
+
+    Bit-identical to :func:`repro.cores.decomposition.compact_peel` on an
+    ordered snapshot: same core numbers, same removal order, anchors mapped
+    to infinity and appended last by id.  Phase A
+    (:func:`numpy_core_numbers`) computes the core numbers, Phase B
+    concatenates every shell's :func:`numpy_shell_order`.
+    """
+    core = numpy_core_numbers(ngraph, anchor_ids)
+    order: List[int] = []
+    for level in _finite_levels(core):
+        order.extend(numpy_shell_order(ngraph, core, level))
+    order.extend(np.nonzero(np.isinf(core))[0].tolist())
     return core, order
 
 
@@ -391,50 +423,58 @@ def numpy_full_shell_followers(
 
 
 class NumpyCoreIndexKernel(CoreIndexKernel):
-    """Anchored-core-index state over one ordered numpy snapshot."""
+    """Anchored-core-index state over one ordered numpy snapshot.
+
+    A refresh computes core numbers only (Phase A); removal orders live in a
+    :class:`~repro.cores.decomposition.ShellOrderStore` and each shell's
+    order is derived (:func:`numpy_shell_order`) only when a reader needs it
+    — the order-pruned candidate scan reads shell ``k - 1``,
+    :meth:`removal_ranks` reads them all.
+    """
 
     def __init__(self, graph: Graph) -> None:
         self._ngraph = NumpyGraph.from_graph(graph, ordered=True)
         n = self._ngraph.num_vertices
         self._core = np.zeros(n, dtype=np.float64)
-        self._rank = np.zeros(n, dtype=np.int64)
-        self._order: List[int] = []
+        self._anchor_ids: Set[int] = set()
+        self._orders = ShellOrderStore(np.zeros(n, dtype=np.int64))
         self._core_map_cache: Optional[Dict[Vertex, float]] = None
+
+    def _materialise_shell(self, level: int) -> List[int]:
+        return numpy_shell_order(self._ngraph, self._core, level)
 
     def refresh(self, anchors: Set[Vertex]) -> None:
         interner = self._ngraph.interner
-        anchor_ids = [interner.id_of(anchor) for anchor in anchors]
-        core, order = numpy_peel(self._ngraph, anchor_ids)
-        self._core = core
-        self._order = order
-        rank = np.zeros(self._ngraph.num_vertices, dtype=np.int64)
-        if order:
-            rank[np.asarray(order, dtype=np.int64)] = np.arange(len(order))
-        self._rank = rank
+        self._anchor_ids = {interner.id_of(anchor) for anchor in anchors}
+        self._core = numpy_core_numbers(self._ngraph, self._anchor_ids)
+        self._orders.clear()
         self._core_map_cache = None
 
     def commit_anchor(self, vertex: Vertex, anchors: Set[Vertex]):
-        # The suffix re-peel is scalar work on a small region — the shared
-        # splice kernel runs over the plain-list CSR with the numpy
-        # core/rank arrays as storage (see the delta-refresh contract).
+        # The splice walks the anchor's row over the plain-list CSR; each
+        # level's risers come from the vectorised follower cascade.
         ngraph = self._ngraph
         new_id = ngraph.interner.id_of(vertex)
-        touched = incremental_anchor_commit(
+        self._anchor_ids.add(new_id)
+        core = self._core
+        touched, affected = incremental_anchor_commit(
             ngraph.indptr_list,
             ngraph.indices_list,
-            self._core,
-            self._rank,
-            self._order,
+            core,
             new_id,
+            lambda j: numpy_marginal_followers(ngraph, j, new_id, core)[0],
         )
+        self._orders.discard(affected)
         self._core_map_cache = None
         vertices = ngraph.interner.vertices
         return frozenset(vertices[vid] for vid, _ in touched)
 
     def removal_ranks(self) -> Mapping[Vertex, int]:
         vertices = self._ngraph.interner.vertices
-        rank = self._rank
-        return {vertices[vid]: int(rank[vid]) for vid in range(len(vertices))}
+        order = self._orders.removal_order(
+            _finite_levels(self._core), self._anchor_ids, self._materialise_shell
+        )
+        return {vertices[vid]: position for position, vid in enumerate(order)}
 
     @staticmethod
     def _as_python(value) -> float:
@@ -468,18 +508,25 @@ class NumpyCoreIndexKernel(CoreIndexKernel):
         return self._translate(numpy_k_core_ids(self._ngraph, k))
 
     def candidate_anchors(self, k: int, order_pruning: bool) -> Set[Vertex]:
-        ngraph = self._ngraph
-        if ngraph.num_vertices == 0:
-            return set()
-        row = ngraph.row
-        col = ngraph.indices
+        # A candidate is a non-core neighbour of a shell-(k-1) member, so the
+        # scan gathers only the shell's rows.
         core = self._core
+        shell = np.nonzero(core == k - 1)[0]
+        if not shell.size:
+            return set()
+        ngraph = self._ngraph
+        nbrs, counts = _gather(ngraph.indptr, ngraph.indices, shell)
+        nbr_core = core[nbrs]
         # Anchors carry core infinity, so ``core < k`` excludes them for free.
-        mask = (core[row] < k) & (core[col] == k - 1)
+        mask = nbr_core < k
         if order_pruning:
-            rank = self._rank
-            mask &= rank[col] > rank[row]
-        return self._translate(np.unique(row[mask]))
+            # Lower shells precede shell k - 1 in the removal order, so only
+            # a same-shell pair compares within-shell positions.
+            self._orders.order(k - 1, self._materialise_shell)
+            positions = self._orders.positions
+            owner = np.repeat(shell, counts)
+            mask &= (nbr_core < k - 1) | (positions[owner] > positions[nbrs])
+        return self._translate(np.unique(nbrs[mask]))
 
     def non_core_vertices(self, k: int) -> Set[Vertex]:
         return self._translate(np.nonzero(self._core < k)[0])

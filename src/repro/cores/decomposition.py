@@ -31,6 +31,7 @@ import heapq
 import math
 from dataclasses import dataclass
 from typing import (
+    Callable,
     Dict,
     FrozenSet,
     Iterable,
@@ -53,6 +54,7 @@ from repro.backends import (
 from repro.errors import ParameterError
 from repro.graph.compact import CompactGraph
 from repro.graph.static import Graph, Vertex
+from repro.obs import tracer
 
 #: Core value assigned to anchored vertices — they can never be peeled.
 ANCHOR_CORE: float = math.inf
@@ -240,68 +242,7 @@ def apply_shell_moves(shells, touched, core) -> None:
         members.add(member)
 
 
-def _region_risers(
-    indptr: Sequence[int],
-    indices: Sequence[int],
-    core: Sequence[float],
-    anchor_id: int,
-    j: int,
-) -> Set[int]:
-    """Vertices of (old) shell ``j - 1`` that the new anchor lifts into the
-    anchored j-core: the region-restricted survival cascade of
-    :func:`repro.anchored.followers.compact_marginal_followers`, without the
-    instrumentation (this is index maintenance, not candidate evaluation)."""
-    target = j - 1
-    region: Set[int] = set()
-    stack: List[int] = []
-    for position in range(indptr[anchor_id], indptr[anchor_id + 1]):
-        neighbour = indices[position]
-        if core[neighbour] == target and neighbour not in region:
-            region.add(neighbour)
-            stack.append(neighbour)
-    while stack:
-        current = stack.pop()
-        for position in range(indptr[current], indptr[current + 1]):
-            neighbour = indices[position]
-            if (
-                core[neighbour] == target
-                and neighbour not in region
-                and neighbour != anchor_id
-            ):
-                region.add(neighbour)
-                stack.append(neighbour)
-    if not region:
-        return region
-
-    support: Dict[int, int] = {}
-    for vid in region:
-        count = 0
-        for position in range(indptr[vid], indptr[vid + 1]):
-            neighbour = indices[position]
-            if neighbour == anchor_id:
-                count += 1
-            elif core[neighbour] >= j:
-                count += 1
-            elif neighbour in region:
-                count += 1
-        support[vid] = count
-    removal_queue = [vid for vid, count in support.items() if count < j]
-    removed: Set[int] = set()
-    while removal_queue:
-        vid = removal_queue.pop()
-        if vid in removed:
-            continue
-        removed.add(vid)
-        for position in range(indptr[vid], indptr[vid + 1]):
-            neighbour = indices[position]
-            if neighbour in region and neighbour not in removed:
-                support[neighbour] -= 1
-                if support[neighbour] < j:
-                    removal_queue.append(neighbour)
-    return region - removed
-
-
-def _shell_order_ids(
+def compact_shell_order_ids(
     indptr: Sequence[int],
     indices: Sequence[int],
     core: Sequence[float],
@@ -326,12 +267,13 @@ def _shell_order_ids(
         count = 0
         for slot in range(indptr[vid], indptr[vid + 1]):
             neighbour = indices[slot]
-            if core[neighbour] >= level:
+            value = core[neighbour]
+            if value >= level:
                 count += 1
-            if core[neighbour] == level:
-                neighbour_local = position.get(neighbour)
-                if neighbour_local is not None:
-                    adjacency[local].append(neighbour_local)
+                if value == level:
+                    neighbour_local = position.get(neighbour)
+                    if neighbour_local is not None:
+                        adjacency[local].append(neighbour_local)
         eff_local[local] = count
 
     heap = [eff_local[local] * size + local for local in range(size)]
@@ -359,48 +301,51 @@ def incremental_anchor_commit(
     indptr: Sequence[int],
     indices: Sequence[int],
     core: MutableSequence[float],
-    rank: MutableSequence[int],
-    order: List[int],
     new_anchor_id: int,
-) -> List[Tuple[int, float]]:
-    """Apply one anchor commit to existing peel state, touching only the
+    risers: Callable[[int], Iterable[int]],
+) -> Tuple[List[Tuple[int, float]], Set[int]]:
+    """Apply one anchor commit to the core numbers, touching only the
     affected region — the incremental path behind
     :meth:`CoreIndexKernel.commit_anchor` for the id-array kernels (compact
-    and numpy; ``core``/``rank`` may be plain lists or numpy arrays).
+    and numpy; ``core`` may be a plain list or a numpy array).
 
     **Core numbers.**  For a *single* added anchor every core rise is exactly
     ``+1``, and the risers at level ``j`` are exactly the anchor's level-``j``
     followers: a level-``j`` follower has old core ``j - 1`` (the single-
     anchor shell lemma behind :func:`repro.anchored.followers.marginal_followers`),
     so a vertex can rise at only one level, and the riser sets are computed
-    independently on the *old* core numbers by one region-restricted cascade
-    per level ``j - 1 ∈ {core(u) : u ∈ N(anchor), core(u) >= core(anchor)}``
-    (other levels provably gain nothing: below, the anchor was already in
-    the j-core; above, the anchor has no shell-``(j-1)`` neighbour to seed a
-    region).
+    independently on the *old* core numbers, one follower cascade per level
+    ``j - 1 ∈ {core(u) : u ∈ N(anchor), core(u) >= core(anchor)}`` (other
+    levels provably gain nothing: below, the anchor was already in the
+    j-core; above, the anchor has no shell-``(j-1)`` neighbour to seed a
+    region).  ``risers(j)`` is the kernel's own follower cascade for the new
+    anchor at degree constraint ``j`` over the still-unmodified ``core``
+    (:func:`repro.anchored.followers.compact_marginal_followers` or its
+    vectorised numpy twin).
 
-    **Removal order.**  With the new core numbers fixed, the reference heap
-    peel's order is the ascending concatenation of per-shell cascades over
-    same-shell subgraphs (the Phase-B invariant of the numpy backend).  A shell's internal order can change only if its membership
-    changed (it gained or lost a riser or the anchor) or a member's starting
-    degree changed (a neighbour's core value crossed the shell level — for a
-    ``+1`` riser from ``a`` that is only shell ``a + 1``; for the anchor,
-    finite → infinity, every shell above its old core that contains one of
-    its neighbours).  Exactly those *affected shells* are re-cascaded;
-    every other shell keeps its old subsequence verbatim, and the global
-    rank array is renumbered in one O(n) pass.
+    **Affected shells.**  With the core numbers fixed, the reference heap
+    peel's order restricted to one shell is a cascade over the same-shell
+    subgraph (see :func:`compact_shell_order_ids`), so a shell's internal
+    order can change only if its membership changed (it gained or lost a
+    riser or the anchor) or a member's starting degree changed (a
+    neighbour's core value crossed the shell level — for a ``+1`` riser from
+    ``a`` that is only shell ``a + 1``; for the anchor, finite → infinity,
+    every shell above its old core that contains one of its neighbours).
+    Exactly those levels are returned; the caller drops their cached orders
+    (:class:`ShellOrderStore`) and every other shell keeps its order
+    verbatim.  No order is computed here.
 
-    Mutates ``core``, ``rank`` and ``order`` so they equal a full
-    :func:`compact_peel` with the enlarged anchor set, and returns
-    ``[(vertex id, previous core value)]`` for every vertex whose core
-    number changed (the new anchor included, finite → infinity).
+    Mutates ``core`` so it equals a full :func:`compact_peel` with the
+    enlarged anchor set and returns ``(touched, affected levels)``:
+    ``touched`` is ``[(vertex id, previous core value)]`` for every vertex
+    whose core number changed (the new anchor included, finite → infinity).
     """
     x = new_anchor_id
     anchor_core = core[x]
 
     # Candidate levels and order-affected shells, read off the OLD state.
     levels: Set[int] = set()
-    affected: Set[float] = {anchor_core}
+    affected: Set[int] = {int(anchor_core)}
     for position in range(indptr[x], indptr[x + 1]):
         value = core[indices[position]]
         if value == ANCHOR_CORE:
@@ -410,57 +355,109 @@ def incremental_anchor_commit(
         if value > anchor_core:
             # The anchor's own rise (finite -> infinity) crosses this
             # neighbour's shell level, changing its starting degree there.
-            affected.add(value)
+            affected.add(int(value))
 
     touched: List[Tuple[int, float]] = [(x, anchor_core)]
-    risers_by_level: Dict[int, Set[int]] = {}
+    risers_by_level: Dict[int, List[int]] = {}
     for j in levels:
-        risers = _region_risers(indptr, indices, core, x, j)
-        if risers:
-            risers_by_level[j] = risers
+        lifted = list(risers(j))
+        if lifted:
+            risers_by_level[j] = lifted
             affected.add(j - 1)
             affected.add(j)
-            touched.extend((vid, float(j - 1)) for vid in risers)
+            touched.extend((vid, float(j - 1)) for vid in lifted)
 
     # All riser cascades read the old core numbers (level independence: a
     # level-j cascade never tests a value a +1 rise at another level could
     # flip), so the writes happen only now.
-    for j, risers in risers_by_level.items():
-        for vid in risers:
+    for j, lifted in risers_by_level.items():
+        for vid in lifted:
             core[vid] = j
     core[x] = ANCHOR_CORE
+    return touched, affected
 
-    # Rebuild the order: one walk buckets every finite vertex by NEW core,
-    # preserving the old within-shell sequence; affected shells are
-    # re-cascaded, anchors tail ascending by id (id == tie-break rank).
-    buckets: Dict[float, List[int]] = {}
-    anchor_tail: List[int] = []
-    for vid in order:
-        value = core[vid]
-        if value == ANCHOR_CORE:
-            anchor_tail.append(vid)
-        else:
-            bucket = buckets.get(value)
-            if bucket is None:
-                bucket = buckets[value] = []
-            bucket.append(vid)
-    anchor_tail.sort()
 
-    for level in affected:
-        bucket = buckets.get(level)
-        if not bucket:
-            continue
-        bucket.sort()
-        buckets[level] = _shell_order_ids(indptr, indices, core, bucket, level)
+class ShellOrderStore:
+    """Lazily materialised per-shell removal orders of an id-array kernel.
 
-    new_order: List[int] = []
-    for level in sorted(buckets):
-        new_order.extend(buckets[level])
-    new_order.extend(anchor_tail)
-    order[:] = new_order
-    for position, vid in enumerate(order):
-        rank[vid] = position
-    return touched
+    The reference removal order is the ascending concatenation of per-shell
+    orders followed by the anchors ascending by id, and every shell's order
+    is a function of the core numbers alone (:func:`compact_shell_order_ids`).
+    The store therefore keeps ``{level: ordered ids}`` for *clean* shells
+    only, plus ``positions[vid]``, each id's position within its own shell
+    (valid for members of clean shells).  An anchor commit drops the levels
+    it affected (:meth:`discard`); a shell is re-derived by the backend's
+    ``materialise(level)`` only when a reader asks for it (:meth:`order`),
+    inside a ``kernel.shell_order`` span.  ``positions`` is a list or a
+    numpy int array.  The materialiser is passed per read rather than held,
+    so a kernel and its store never form a reference cycle.
+    """
+
+    __slots__ = ("positions", "_orders")
+
+    def __init__(self, positions: MutableSequence[int]) -> None:
+        self.positions = positions
+        self._orders: Dict[int, Sequence[int]] = {}
+
+    def seed(self, order: Iterable[int], core: Sequence[float]) -> None:
+        """Mark every shell clean from a full removal order (anchors skipped)."""
+        orders: Dict[int, List[int]] = {}
+        for vid in order:
+            value = core[vid]
+            if value == ANCHOR_CORE:
+                continue
+            level = int(value)
+            members = orders.get(level)
+            if members is None:
+                members = orders[level] = []
+            members.append(vid)
+        for members in orders.values():
+            self._place(members)
+        self._orders = orders
+
+    def clear(self) -> None:
+        """Mark every shell dirty."""
+        self._orders = {}
+
+    def discard(self, levels: Iterable[int]) -> None:
+        """Mark ``levels`` dirty; their orders are re-derived on next read."""
+        orders = self._orders
+        for level in levels:
+            orders.pop(level, None)
+
+    def order(
+        self, level: int, materialise: Callable[[int], Sequence[int]]
+    ) -> Sequence[int]:
+        """Shell ``level``'s ids in removal order, materialised if dirty."""
+        members = self._orders.get(level)
+        if members is None:
+            with tracer.span("kernel.shell_order", level=level) as span:
+                members = materialise(level)
+                self._place(members)
+                span.set(members=len(members))
+            self._orders[level] = members
+        return members
+
+    def removal_order(
+        self,
+        levels: Iterable[int],
+        anchor_ids: Iterable[int],
+        materialise: Callable[[int], Sequence[int]],
+    ) -> List[int]:
+        """The full removal order: ``levels`` ascending, then anchors by id."""
+        order: List[int] = []
+        for level in sorted(levels):
+            order.extend(self.order(level, materialise))
+        order.extend(sorted(anchor_ids))
+        return order
+
+    def _place(self, members: Sequence[int]) -> None:
+        positions = self.positions
+        if isinstance(positions, list):
+            for position, vid in enumerate(members):
+                positions[vid] = position
+        elif len(members):
+            positions[list(members)] = range(len(members))
 
 
 def compact_k_core_ids(

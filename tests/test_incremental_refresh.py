@@ -16,6 +16,9 @@ Two referees keep the incremental paths honest:
 
 The same vertex-pool strategies as ``tests/test_backend_equivalence.py`` are
 used so the interner paths (sparse ints, strings, mixed types) stay covered.
+Those graphs have at most 12 vertices, so a deterministic mid-size referee
+(3000-vertex Chung–Lu graphs, hub anchors whose neighbours span many shells)
+and a locality check of the lazily materialised shell orders follow them.
 """
 
 from __future__ import annotations
@@ -28,10 +31,11 @@ from hypothesis import strategies as st
 
 from repro.anchored.anchored_core import AnchoredCoreIndex
 from repro.anchored.greedy import GreedyAnchoredKCore
-from repro.backends import CoreIndexKernel, numpy_available
+from repro.backends import CoreIndexKernel, numba_available, numpy_available
 from repro.backends.dict_backend import DictBackend, DictCoreIndexKernel
 from repro.graph.generators import chung_lu_graph
 from repro.graph.static import Graph
+from repro.obs import tracer
 from repro.ordering import tie_break_key
 
 SETTINGS = settings(
@@ -201,6 +205,100 @@ def test_memoization_avoids_cascades_on_a_real_instance():
     assert result.anchors == baseline.anchors
     assert result.followers == baseline.followers
     assert result.stats.visited_vertices == baseline.stats.visited_vertices
+
+
+# ---------------------------------------------------------------------------
+# Mid-size referee: hub anchors, many shells, every id-array backend
+# ---------------------------------------------------------------------------
+#: The id-array backends (everything but the dict reference) available here.
+ID_ARRAY_BACKENDS = (
+    ["compact"]
+    + (["numpy"] if numpy_available() else [])
+    + (["numba"] if numba_available() else [])
+)
+MIDSIZE_VERTICES = 3000
+MIDSIZE_BUDGET = 6
+
+
+def _midsize_state(index: AnchoredCoreIndex):
+    return (
+        dict(index.core_numbers()),
+        dict(index.kernel.removal_ranks()),
+        index.candidate_anchors(),
+        index.candidate_anchors(order_pruning=False),
+        index.shell(),
+        index.followers(),
+    )
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 6])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_midsize_commits_match_dict_full_refresh(seed, k):
+    """Commit by commit, every id-array kernel equals a dict full refresh.
+
+    The commit sequence brackets Greedy's anchors with the four highest-degree
+    vertices: a hub's neighbours sit in many shells, so its commit runs riser
+    cascades at many levels and dirties many shell orders at once.
+    """
+    graph = chung_lu_graph(MIDSIZE_VERTICES, 3 * MIDSIZE_VERTICES, seed=seed)
+    reference = GreedyAnchoredKCore(graph, k, MIDSIZE_BUDGET, backend="dict").select()
+    for backend in ID_ARRAY_BACKENDS:
+        outcome = GreedyAnchoredKCore(graph, k, MIDSIZE_BUDGET, backend=backend).select()
+        assert outcome.anchors == reference.anchors, backend
+        assert outcome.followers == reference.followers, backend
+        assert outcome.stats.candidates_evaluated == reference.stats.candidates_evaluated
+        assert outcome.stats.visited_vertices == reference.stats.visited_vertices
+
+    hubs = sorted(graph.vertices(), key=lambda v: (-graph.degree(v), tie_break_key(v)))[:4]
+    sequence = hubs[:2] + [a for a in reference.anchors if a not in hubs] + hubs[2:]
+    indexes = {
+        backend: AnchoredCoreIndex(graph, k, backend=backend)
+        for backend in ID_ARRAY_BACKENDS
+    }
+    for position, anchor in enumerate(sequence):
+        full = AnchoredCoreIndex(graph, k, anchors=sequence[: position + 1], backend="dict")
+        expected = _midsize_state(full)
+        for backend, index in indexes.items():
+            index.commit_anchor(anchor)
+            assert _midsize_state(index) == expected, (backend, position)
+
+
+@pytest.fixture
+def traced():
+    previous = tracer.set_enabled(True)
+    tracer.drain()
+    yield
+    tracer.drain()
+    tracer.set_enabled(previous)
+
+
+def _shell_order_levels():
+    return [
+        entry["attrs"]["level"]
+        for entry in tracer.drain()
+        if entry["name"] == "kernel.shell_order"
+    ]
+
+
+@pytest.mark.parametrize("backend", ID_ARRAY_BACKENDS)
+def test_commits_materialise_no_shell_order(backend, traced):
+    """A commit only marks shells dirty; a pruned scan reads shell k - 1 only."""
+    k = 4
+    graph = chung_lu_graph(MIDSIZE_VERTICES, 3 * MIDSIZE_VERTICES, seed=5)
+    hub = max(graph.vertices(), key=lambda v: (graph.degree(v), tie_break_key(v)))
+    index = AnchoredCoreIndex(graph, k, backend=backend)
+    index.candidate_anchors()
+    tracer.drain()
+    for anchor in [hub] + sorted(index.candidate_anchors(), key=tie_break_key)[:3]:
+        index.commit_anchor(anchor)
+        assert _shell_order_levels() == []
+        index.candidate_anchors(order_pruning=False)
+        assert _shell_order_levels() == []
+        index.candidate_anchors()
+        assert _shell_order_levels() in ([], [k - 1])
+    # A second read of a clean shell materialises nothing.
+    index.candidate_anchors()
+    assert _shell_order_levels() == []
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,9 @@ import pickle
 
 import pytest
 
+from repro.anchored.greedy import GreedyAnchoredKCore
 from repro.anchored.result import SolverStats
+from repro.backends import numpy_available
 from repro.cli import main
 from repro.engine.stats import EngineStats
 from repro.obs import (
@@ -343,6 +345,55 @@ class TestUnifiedSchema:
         clone = pickle.loads(pickle.dumps(stats))
         assert clone == stats
         assert list(clone.commit_seconds) == [0.004, 0.001]
+
+
+class TestShellOrderSpans:
+    """Lazily materialised shell orders stay attributed in the trace."""
+
+    @pytest.mark.parametrize(
+        "backend",
+        [
+            "compact",
+            pytest.param(
+                "numpy",
+                marks=pytest.mark.skipif(
+                    not numpy_available(), reason="numpy is not installed"
+                ),
+            ),
+        ],
+    )
+    def test_greedy_reads_one_shell_order_per_round(self, traced, backend):
+        from repro.graph.generators import chung_lu_graph
+
+        k = 4
+        graph = chung_lu_graph(3000, 9000, seed=3)
+        result = GreedyAnchoredKCore(graph, k, 6, backend=backend).select()
+        spans = tracer.drain()
+        assert result.stats.iterations > 1
+        by_id = {entry["span_id"]: entry for entry in spans}
+        shell_spans = [entry for entry in spans if entry["name"] == "kernel.shell_order"]
+        assert shell_spans
+        # Each round's candidate scan precedes its evaluate span: between two
+        # evaluate spans (and before the first) at most one order is derived.
+        timeline = sorted(
+            (entry["start"], entry["name"])
+            for entry in spans
+            if entry["name"] in ("kernel.shell_order", "greedy.evaluate")
+        )
+        pending = 0
+        for _, name in timeline:
+            if name == "greedy.evaluate":
+                pending = 0
+            else:
+                pending += 1
+                assert pending <= 1
+        for entry in shell_spans:
+            assert entry["attrs"]["level"] == k - 1
+            assert entry["attrs"]["members"] > 0
+            parent = by_id.get(entry["parent_id"])
+            while parent is not None:
+                assert parent["name"] != "kernel.commit_anchor"
+                parent = by_id.get(parent["parent_id"])
 
 
 class TestServeSimReconciliation:
