@@ -7,18 +7,29 @@ of the carried-forward anchors) and cache hits (unchanged graph version).
 Expectation: hits are orders of magnitude cheaper than warm, warm is
 substantially cheaper than cold, and update throughput stays in the tens of
 thousands of edge events per second even in pure Python.
+
+The record carries one floor, ``warm_speedup_vs_cold`` (cold latency over
+mean warm latency), enforced only at the ``full`` profile: smoke-sized
+replays are too short for the ratio to mean anything and record it with
+``enforced: false``.
 """
 
 from __future__ import annotations
 
 import time
 
+from repro.bench.compare import floor_failures
 from repro.bench.reporting import format_table, write_bench_json
 from repro.bench.workloads import build_problem
 from repro.engine import StreamingAVTEngine
 
 DATASET = "gnutella"
 BUDGET = 4
+#: Ten ``full``-profile replays on a shared 2-CPU box without numba (dict
+#: backend) measured 2.3-5.6 (median 3.9): the cold side is one ~10 ms query,
+#: so the ratio is noisy.  The floor sits below half the lowest of them.
+REQUIRED_WARM_SPEEDUP = 1.1
+ENFORCED_PROFILE = "full"
 
 
 def run_replay(bench_profile):
@@ -112,6 +123,13 @@ def run_replay(bench_profile):
         },
         "solves": {"cold": stats.cold_solves, "warm": stats.warm_solves},
         "engine_backend": engine.backend,
+        "floors": {
+            "warm_speedup_vs_cold": {
+                "value": cold_seconds / max(stats.mean_latency("warm"), 1e-9),
+                "floor": REQUIRED_WARM_SPEEDUP,
+                "enforced": bench_profile.name == ENFORCED_PROFILE,
+            },
+        },
     }
     return rows, stats, payload, report, "\n".join(csv_lines) + "\n"
 
@@ -134,3 +152,4 @@ def test_engine_throughput(benchmark, bench_profile, results_dir, record_report)
     assert by_path["cache hit"]["mean_ms"] < by_path["cold (from scratch)"]["mean_ms"]
     assert stats.warm_solves > 0
     assert stats.cold_solves >= 1
+    assert not floor_failures(payload), floor_failures(payload)

@@ -109,14 +109,13 @@ contract (the delta-refresh contract in :mod:`repro.backends.base`):
 =============  ==============================================================
 kernel         ``commit_anchor`` path
 =============  ==============================================================
-``dict``       affected-region splice: per-level riser cascades update the
-               core numbers (+1 each, the single-anchor shell lemma), only
-               shells whose membership or starting degrees changed re-run
-               their within-shell order cascade
-``compact``    local commit over flat id arrays
+``dict``       local commit over the adjacency sets
                (:func:`repro.cores.decomposition.incremental_anchor_commit`):
-               riser cascades update the core numbers, affected shells are
-               only marked dirty and their orders re-derived when read
+               per-level riser cascades update the core numbers (+1 each,
+               the single-anchor shell lemma), affected shells are only
+               marked dirty and their orders re-derived when read; a
+               refresh computes core numbers only (O(n + m) bucket peel)
+``compact``    the same local commit over flat id arrays
 ``numpy``      the same local commit, risers from the vectorised follower
                cascade; a refresh computes core numbers only
 ``numba``      inherits the compact commit, then patches its float64 core

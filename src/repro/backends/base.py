@@ -40,15 +40,13 @@ anchored core number changed (the new anchor included, finite → infinity),
 or ``None`` when the kernel cannot bound the change, in which case callers
 must assume anything may have changed.  Kernels that do not override it fall
 back to a full refresh (and return ``None``), so custom backends keep
-working unchanged.  The dict kernel applies an affected-region splice:
-per-level riser cascades for the core numbers, then a re-ordering of only
-the shells whose membership or starting degrees changed.  The compact,
-numpy and numba kernels update only the core numbers of the affected region
+working unchanged.  Every built-in kernel (dict, compact, numpy and numba)
+updates only the core numbers of the affected region
 (:func:`repro.cores.decomposition.incremental_anchor_commit` documents the
 algorithm and its correctness argument; each level's risers come from the
-kernel's own follower cascade) and mark the affected shells dirty.
+kernel's own follower cascade) and marks the affected shells dirty.
 
-Removal ranks are a lazily materialised view in those kernels
+Removal ranks are a lazily materialised view in every built-in kernel
 (:class:`repro.cores.decomposition.ShellOrderStore`): a shell's order is
 derived only when a reader needs it — the order-pruned candidate scan reads
 shell ``k - 1``, :meth:`CoreIndexKernel.removal_ranks` reads every shell —

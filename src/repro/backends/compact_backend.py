@@ -91,9 +91,9 @@ class CompactCoreIndexKernel(CoreIndexKernel):
         new_id = cgraph.interner.id_of(vertex)
         self._anchor_ids.add(new_id)
         core_ids = self._core_ids
+        indptr = cgraph.indptr
         touched, affected = incremental_anchor_commit(
-            cgraph.indptr,
-            cgraph.indices,
+            cgraph.indices[indptr[new_id] : indptr[new_id + 1]],
             core_ids,
             new_id,
             lambda j: compact_marginal_followers(cgraph, j, new_id, core_ids)[0],

@@ -7,6 +7,16 @@ backends are property-tested against.  The follower cascades delegate to the
 public functions in :mod:`repro.anchored.followers` (which double as the
 paper-facing reference algorithms); the peeling, cascade and maintenance
 traversals live here.
+
+Two peels coexist.  :func:`dict_anchored_peel` is the reference heap peel
+that yields the full removal order; :meth:`DictBackend.decompose` returns it
+and the tests use it as the independent oracle.  The core index refreshes
+with :func:`dict_core_numbers` instead, an O(n + m) bucket peel that yields
+core numbers only, and derives a shell's removal order lazily when a reader
+asks for it.  An anchor commit goes through the same local core update as
+the id-array kernels
+(:func:`repro.cores.decomposition.incremental_anchor_commit`) and only marks
+the affected shells' orders dirty.
 """
 
 from __future__ import annotations
@@ -24,8 +34,10 @@ from repro.anchored.followers import full_shell_followers, marginal_followers
 from repro.cores.decomposition import (
     ANCHOR_CORE,
     CoreDecomposition,
+    ShellOrderStore,
     apply_shell_moves,
     build_shell_index,
+    incremental_anchor_commit,
 )
 from repro.errors import VertexNotFoundError
 from repro.graph.static import Graph, Vertex
@@ -79,6 +91,54 @@ def dict_anchored_peel(graph: Graph, anchor_set: FrozenSet[Vertex]) -> CoreDecom
     return CoreDecomposition(core=core, order=tuple(order), anchors=anchor_set)
 
 
+def dict_core_numbers(
+    graph: Graph, anchor_set: FrozenSet[Vertex]
+) -> Dict[Vertex, float]:
+    """Anchored core numbers by the O(n + m) bucket peel.
+
+    Batagelj & Zaversnik, "An O(m) Algorithm for Cores Decomposition of
+    Networks" (2003), over the adjacency-set graph: vertices sit in buckets
+    by current degree, levels are drained in ascending order, and a
+    neighbour's degree is decremented only while it exceeds the level being
+    drained (so it never falls below the core it will receive).  A
+    decremented vertex is re-appended to its new bucket and its old entry is
+    skipped as stale.  Anchors map to :data:`ANCHOR_CORE`, are never peeled
+    and keep supporting their neighbours.  The core numbers equal
+    :func:`dict_anchored_peel`'s; no removal order is produced.
+    """
+    degree = graph.degree_map()
+    core: Dict[Vertex, float] = {}
+    buckets: List[List[Vertex]] = [
+        [] for _ in range(max(degree.values(), default=-1) + 1)
+    ]
+    for vertex, value in degree.items():
+        if vertex in anchor_set:
+            core[vertex] = ANCHOR_CORE
+            # Below every level, so an anchor is never decremented.
+            degree[vertex] = -1
+        else:
+            buckets[value].append(vertex)
+
+    neighbors = graph.neighbors
+    # Degrees only decrease, so no bucket above the initial maximum appears;
+    # entries appended to the level being drained are drained with it.
+    for level, bucket in enumerate(buckets):
+        while bucket:
+            vertex = bucket.pop()
+            if degree[vertex] != level:
+                continue
+            core[vertex] = level
+            for neighbour in neighbors(vertex):
+                value = degree[neighbour]
+                # A peeled vertex's degree (its core) never exceeds the
+                # current level, so it is never touched again; each vertex
+                # enters each bucket at most once.
+                if value > level:
+                    degree[neighbour] = value - 1
+                    buckets[value - 1].append(neighbour)
+    return core
+
+
 def dict_k_core(graph: Graph, k: int, anchors: Iterable[Vertex] = ()) -> Set[Vertex]:
     """(Anchored) k-core by a direct deletion cascade over the dict graph."""
     anchor_set = set(anchors)
@@ -106,134 +166,102 @@ def dict_k_core(graph: Graph, k: int, anchors: Iterable[Vertex] = ()) -> Set[Ver
 class DictCoreIndexKernel(CoreIndexKernel):
     """Anchored-core-index state over the adjacency-set graph itself.
 
-    Alongside the core/rank maps the kernel maintains a *shell index*
-    (``{core value: member set}``): the size queries the greedy loops issue
-    every round (``count_core_at_least``, ``shell_vertices``) then cost
-    O(#levels) / O(|shell|) instead of a full O(n) scan.  The index is
-    rebuilt on :meth:`refresh` and updated for just the touched vertices on
-    :meth:`commit_anchor`.
+    A refresh computes core numbers only (:func:`dict_core_numbers`).
+    Alongside the core map the kernel maintains a *shell index* (``{core
+    value: member set}``): the size queries the greedy loops issue every
+    round (``count_core_at_least``, ``shell_vertices``) then cost O(#levels)
+    / O(|shell|) instead of a full O(n) scan.  Removal orders live in a
+    :class:`~repro.cores.decomposition.ShellOrderStore` keyed by vertex and
+    each shell's order is derived (:meth:`_shell_order`) only when a reader
+    needs it — the order-pruned candidate scan reads shell ``k - 1``,
+    :meth:`removal_ranks` reads them all.  :meth:`commit_anchor` updates
+    only the core numbers of the affected region
+    (:func:`repro.cores.decomposition.incremental_anchor_commit`, risers from
+    :func:`~repro.anchored.followers.marginal_followers`) and marks the
+    affected shells dirty.
     """
 
     def __init__(self, graph: Graph) -> None:
         self._graph = graph
         self._core: Dict[Vertex, float] = {}
-        self._rank: Dict[Vertex, int] = {}
-        self._order: List[Vertex] = []
         self._shells: Dict[float, Set[Vertex]] = {}
+        self._orders = ShellOrderStore({})
 
     def refresh(self, anchors: Set[Vertex]) -> None:
-        decomposition = dict_anchored_peel(self._graph, frozenset(anchors))
-        self._core = dict(decomposition.core)
-        self._order = list(decomposition.order)
-        self._rank = {
-            vertex: position for position, vertex in enumerate(self._order)
-        }
+        self._core = dict_core_numbers(self._graph, frozenset(anchors))
         self._shells = build_shell_index(self._core.items())
+        self._orders.clear()
 
-    def _shell_order(self, members: List[Vertex], level: float) -> List[Vertex]:
+    def _materialise_shell(self, level: int) -> List[Vertex]:
+        return self._shell_order(self._shells.get(level, ()), level)
+
+    def _shell_order(self, members: Iterable[Vertex], level: int) -> List[Vertex]:
         """Removal order within one shell (the Phase-B reconstruction).
 
         The hashable-vertex twin of
-        :func:`repro.cores.decomposition.compact_shell_order_ids`: members in
-        tie-break order, each starting at its count of ``core >= level``
-        neighbours, only same-shell removals decrement.
+        :func:`repro.cores.decomposition.compact_shell_order_ids`: members
+        get local ids in tie-break order, each starts at its count of
+        ``core >= level`` neighbours, only same-shell removals decrement, and
+        the packed heap entries ``degree * size + local id`` pop in the
+        reference peel's order.
         """
-        graph = self._graph
+        neighbors = self._graph.neighbors
         core = self._core
-        member_set = set(members)
-        effective: Dict[Vertex, int] = {}
-        heap: List[Tuple[int, Tuple[str, str], Vertex]] = []
-        for v in members:
-            degree = sum(1 for w in graph.neighbors(v) if core[w] >= level)
-            effective[v] = degree
-            heap.append((degree, tie_break_key(v), v))
+        ordered = sorted(members, key=tie_break_key)
+        size = len(ordered)
+        local = {v: i for i, v in enumerate(ordered)}
+        effective: List[int] = []
+        for v in ordered:
+            count = 0
+            for w in neighbors(v):
+                if core[w] >= level:
+                    count += 1
+            effective.append(count)
+        heap = [effective[i] * size + i for i in range(size)]
         heapq.heapify(heap)
-        popped: Set[Vertex] = set()
+        heappush = heapq.heappush
+        heappop = heapq.heappop
+        popped = bytearray(size)
         shell_order: List[Vertex] = []
         while heap:
-            degree, _, v = heapq.heappop(heap)
-            if v in popped or degree != effective[v]:
+            degree, i = divmod(heappop(heap), size)
+            if popped[i] or degree != effective[i]:
                 continue
-            popped.add(v)
+            popped[i] = 1
+            v = ordered[i]
             shell_order.append(v)
-            for w in graph.neighbors(v):
-                if w in member_set and w not in popped:
-                    effective[w] -= 1
-                    heapq.heappush(heap, (effective[w], tie_break_key(w), w))
+            for w in neighbors(v):
+                j = local.get(w)
+                if j is not None and not popped[j]:
+                    slack = effective[j] - 1
+                    effective[j] = slack
+                    heappush(heap, slack * size + j)
         return shell_order
 
     def commit_anchor(
         self, vertex: Vertex, anchors: Set[Vertex]
     ) -> Optional[FrozenSet[Vertex]]:
-        """Affected-region commit (the delta-refresh contract of
-        :mod:`repro.backends.base`): per-level riser cascades update the core
-        numbers, and only shells whose membership or starting degrees changed
-        re-run their within-shell order cascade — the hashable-vertex twin of
-        :func:`repro.cores.decomposition.incremental_anchor_commit`, where
-        the algorithm and its correctness argument are documented.
-        """
         graph = self._graph
         core = self._core
-        rank = self._rank
-        order = self._order
-        anchor_core = core[vertex]
-
-        levels: Set[int] = set()
-        affected: Set[float] = {anchor_core}
-        for neighbour in graph.neighbors(vertex):
-            value = core[neighbour]
-            if value == ANCHOR_CORE:
-                continue
-            if value >= anchor_core:
-                levels.add(int(value) + 1)
-            if value > anchor_core:
-                affected.add(value)
-
-        touched: List[Tuple[Vertex, float]] = [(vertex, anchor_core)]
-        risers_by_level: Dict[int, Set[Vertex]] = {}
-        for j in levels:
-            risers = marginal_followers(graph, j, vertex, core)
-            if risers:
-                risers_by_level[j] = risers
-                affected.add(j - 1)
-                affected.add(j)
-                touched.extend((v, float(j - 1)) for v in risers)
-        for j, risers in risers_by_level.items():
-            for v in risers:
-                core[v] = j
-        core[vertex] = ANCHOR_CORE
-
-        buckets: Dict[float, List[Vertex]] = {}
-        anchor_tail: List[Vertex] = []
-        for v in order:
-            value = core[v]
-            if value == ANCHOR_CORE:
-                anchor_tail.append(v)
-            else:
-                bucket = buckets.get(value)
-                if bucket is None:
-                    bucket = buckets[value] = []
-                bucket.append(v)
-        anchor_tail.sort(key=tie_break_key)
-        for level in affected:
-            bucket = buckets.get(level)
-            if not bucket:
-                continue
-            bucket.sort(key=tie_break_key)
-            buckets[level] = self._shell_order(bucket, level)
-        new_order: List[Vertex] = []
-        for level in sorted(buckets):
-            new_order.extend(buckets[level])
-        new_order.extend(anchor_tail)
-        order[:] = new_order
-        for position, v in enumerate(order):
-            rank[v] = position
-
+        touched, affected = incremental_anchor_commit(
+            graph.neighbors(vertex),
+            core,
+            vertex,
+            lambda j: marginal_followers(graph, j, vertex, core),
+        )
+        self._orders.discard(affected)
         apply_shell_moves(self._shells, touched, core)
         return frozenset(v for v, _ in touched)
 
     def removal_ranks(self) -> Mapping[Vertex, int]:
-        return dict(self._rank)
+        levels = [level for level in self._shells if level != ANCHOR_CORE]
+        order = self._orders.removal_order(
+            levels,
+            self._shells.get(ANCHOR_CORE, ()),
+            self._materialise_shell,
+            key=tie_break_key,
+        )
+        return {vertex: position for position, vertex in enumerate(order)}
 
     def core_of(self, vertex: Vertex) -> float:
         try:
@@ -263,21 +291,32 @@ class DictCoreIndexKernel(CoreIndexKernel):
         return dict_k_core(self._graph, k)
 
     def candidate_anchors(self, k: int, order_pruning: bool) -> Set[Vertex]:
+        # A candidate is a non-core neighbour of a shell-(k-1) member, so the
+        # scan walks only the shell's adjacency sets.  Lower shells precede
+        # shell k - 1 in the removal order; only a same-shell pair compares
+        # within-shell positions.
         target = k - 1
+        members = self._shells.get(target)
+        if not members:
+            return set()
+        if order_pruning:
+            self._orders.order(target, self._materialise_shell)
+            positions = self._orders.positions
+        neighbors = self._graph.neighbors
         core = self._core
-        rank = self._rank
         candidates: Set[Vertex] = set()
-        for vertex, value in core.items():
-            # Anchors carry core infinity, so ``value >= k`` excludes them.
-            if value >= k:
-                continue
-            own_rank = rank[vertex]
-            for neighbour in self._graph.neighbors(vertex):
-                if core.get(neighbour) != target:
+        for member in members:
+            for neighbour in neighbors(member):
+                # Anchors carry core infinity, so this also excludes them.
+                value = core[neighbour]
+                if value >= k:
                     continue
-                if not order_pruning or rank[neighbour] > own_rank:
-                    candidates.add(vertex)
-                    break
+                if (
+                    not order_pruning
+                    or value < target
+                    or positions[member] > positions[neighbour]
+                ):
+                    candidates.add(neighbour)
         return candidates
 
     def non_core_vertices(self, k: int) -> Set[Vertex]:

@@ -451,15 +451,15 @@ class NumpyCoreIndexKernel(CoreIndexKernel):
         self._core_map_cache = None
 
     def commit_anchor(self, vertex: Vertex, anchors: Set[Vertex]):
-        # The splice walks the anchor's row over the plain-list CSR; each
+        # The commit walks the anchor's row of the plain-list CSR; each
         # level's risers come from the vectorised follower cascade.
         ngraph = self._ngraph
         new_id = ngraph.interner.id_of(vertex)
         self._anchor_ids.add(new_id)
         core = self._core
+        indptr = ngraph.indptr_list
         touched, affected = incremental_anchor_commit(
-            ngraph.indptr_list,
-            ngraph.indices_list,
+            ngraph.indices_list[indptr[new_id] : indptr[new_id + 1]],
             core,
             new_id,
             lambda j: numpy_marginal_followers(ngraph, j, new_id, core)[0],

@@ -38,6 +38,7 @@ from typing import (
     List,
     Mapping,
     MutableSequence,
+    Optional,
     Sequence,
     Set,
     Tuple,
@@ -298,16 +299,19 @@ def compact_shell_order_ids(
 
 
 def incremental_anchor_commit(
-    indptr: Sequence[int],
-    indices: Sequence[int],
-    core: MutableSequence[float],
-    new_anchor_id: int,
-    risers: Callable[[int], Iterable[int]],
-) -> Tuple[List[Tuple[int, float]], Set[int]]:
+    neighbours: Iterable,
+    core,
+    new_anchor,
+    risers: Callable[[int], Iterable],
+) -> Tuple[List[Tuple[object, float]], Set[int]]:
     """Apply one anchor commit to the core numbers, touching only the
     affected region — the incremental path behind
-    :meth:`CoreIndexKernel.commit_anchor` for the id-array kernels (compact
-    and numpy; ``core`` may be a plain list or a numpy array).
+    :meth:`CoreIndexKernel.commit_anchor` for every built-in kernel.
+
+    ``neighbours`` iterates the new anchor's neighbours and ``core`` maps a
+    vertex to its core value: the id-array kernels pass their CSR row and a
+    list or numpy array indexed by id (vertices are ids), the dict kernel
+    passes ``graph.neighbors(x)`` and its ``{vertex: core}`` mapping.
 
     **Core numbers.**  For a *single* added anchor every core rise is exactly
     ``+1``, and the risers at level ``j`` are exactly the anchor's level-``j``
@@ -320,7 +324,8 @@ def incremental_anchor_commit(
     j-core; above, the anchor has no shell-``(j-1)`` neighbour to seed a
     region).  ``risers(j)`` is the kernel's own follower cascade for the new
     anchor at degree constraint ``j`` over the still-unmodified ``core``
-    (:func:`repro.anchored.followers.compact_marginal_followers` or its
+    (:func:`repro.anchored.followers.marginal_followers`,
+    :func:`~repro.anchored.followers.compact_marginal_followers` or its
     vectorised numpy twin).
 
     **Affected shells.**  With the core numbers fixed, the reference heap
@@ -335,19 +340,19 @@ def incremental_anchor_commit(
     (:class:`ShellOrderStore`) and every other shell keeps its order
     verbatim.  No order is computed here.
 
-    Mutates ``core`` so it equals a full :func:`compact_peel` with the
-    enlarged anchor set and returns ``(touched, affected levels)``:
-    ``touched`` is ``[(vertex id, previous core value)]`` for every vertex
-    whose core number changed (the new anchor included, finite → infinity).
+    Mutates ``core`` so it equals a full anchored peel with the enlarged
+    anchor set and returns ``(touched, affected levels)``: ``touched`` is
+    ``[(vertex, previous core value)]`` for every vertex whose core number
+    changed (the new anchor included, finite → infinity).
     """
-    x = new_anchor_id
+    x = new_anchor
     anchor_core = core[x]
 
     # Candidate levels and order-affected shells, read off the OLD state.
     levels: Set[int] = set()
     affected: Set[int] = {int(anchor_core)}
-    for position in range(indptr[x], indptr[x + 1]):
-        value = core[indices[position]]
+    for neighbour in neighbours:
+        value = core[neighbour]
         if value == ANCHOR_CORE:
             continue
         if value >= anchor_core:
@@ -357,45 +362,47 @@ def incremental_anchor_commit(
             # neighbour's shell level, changing its starting degree there.
             affected.add(int(value))
 
-    touched: List[Tuple[int, float]] = [(x, anchor_core)]
-    risers_by_level: Dict[int, List[int]] = {}
+    touched: List[Tuple[object, float]] = [(x, anchor_core)]
+    risers_by_level: Dict[int, List[object]] = {}
     for j in levels:
         lifted = list(risers(j))
         if lifted:
             risers_by_level[j] = lifted
             affected.add(j - 1)
             affected.add(j)
-            touched.extend((vid, float(j - 1)) for vid in lifted)
+            touched.extend((v, float(j - 1)) for v in lifted)
 
     # All riser cascades read the old core numbers (level independence: a
     # level-j cascade never tests a value a +1 rise at another level could
     # flip), so the writes happen only now.
     for j, lifted in risers_by_level.items():
-        for vid in lifted:
-            core[vid] = j
+        for v in lifted:
+            core[v] = j
     core[x] = ANCHOR_CORE
     return touched, affected
 
 
 class ShellOrderStore:
-    """Lazily materialised per-shell removal orders of an id-array kernel.
+    """Lazily materialised per-shell removal orders of a core-index kernel.
 
     The reference removal order is the ascending concatenation of per-shell
-    orders followed by the anchors ascending by id, and every shell's order
-    is a function of the core numbers alone (:func:`compact_shell_order_ids`).
-    The store therefore keeps ``{level: ordered ids}`` for *clean* shells
-    only, plus ``positions[vid]``, each id's position within its own shell
-    (valid for members of clean shells).  An anchor commit drops the levels
-    it affected (:meth:`discard`); a shell is re-derived by the backend's
+    orders followed by the anchors in tie-break order, and every shell's
+    order is a function of the core numbers alone
+    (:func:`compact_shell_order_ids`).  The store therefore keeps ``{level:
+    ordered members}`` for *clean* shells only, plus ``positions[v]``, each
+    member's position within its own shell (valid for members of clean
+    shells).  An anchor commit drops the levels it affected
+    (:meth:`discard`); a shell is re-derived by the backend's
     ``materialise(level)`` only when a reader asks for it (:meth:`order`),
     inside a ``kernel.shell_order`` span.  ``positions`` is a list or a
-    numpy int array.  The materialiser is passed per read rather than held,
-    so a kernel and its store never form a reference cycle.
+    numpy int array indexed by id, or a dict keyed by vertex.  The
+    materialiser is passed per read rather than held, so a kernel and its
+    store never form a reference cycle.
     """
 
     __slots__ = ("positions", "_orders")
 
-    def __init__(self, positions: MutableSequence[int]) -> None:
+    def __init__(self, positions: Union[MutableSequence[int], Dict[object, int]]) -> None:
         self.positions = positions
         self._orders: Dict[int, Sequence[int]] = {}
 
@@ -428,7 +435,7 @@ class ShellOrderStore:
     def order(
         self, level: int, materialise: Callable[[int], Sequence[int]]
     ) -> Sequence[int]:
-        """Shell ``level``'s ids in removal order, materialised if dirty."""
+        """Shell ``level``'s members in removal order, materialised if dirty."""
         members = self._orders.get(level)
         if members is None:
             with tracer.span("kernel.shell_order", level=level) as span:
@@ -441,19 +448,22 @@ class ShellOrderStore:
     def removal_order(
         self,
         levels: Iterable[int],
-        anchor_ids: Iterable[int],
-        materialise: Callable[[int], Sequence[int]],
-    ) -> List[int]:
-        """The full removal order: ``levels`` ascending, then anchors by id."""
-        order: List[int] = []
+        anchors: Iterable,
+        materialise: Callable[[int], Sequence],
+        key: Optional[Callable] = None,
+    ) -> List:
+        """The full removal order: ``levels`` ascending, then ``anchors``
+        sorted by ``key`` (ids ascend as they are; hashable vertices pass
+        :func:`~repro.ordering.tie_break_key`)."""
+        order: List = []
         for level in sorted(levels):
             order.extend(self.order(level, materialise))
-        order.extend(sorted(anchor_ids))
+        order.extend(sorted(anchors, key=key))
         return order
 
-    def _place(self, members: Sequence[int]) -> None:
+    def _place(self, members: Sequence) -> None:
         positions = self.positions
-        if isinstance(positions, list):
+        if isinstance(positions, (list, dict)):
             for position, vid in enumerate(members):
                 positions[vid] = position
         elif len(members):

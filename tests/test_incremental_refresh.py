@@ -19,6 +19,8 @@ used so the interner paths (sparse ints, strings, mixed types) stay covered.
 Those graphs have at most 12 vertices, so a deterministic mid-size referee
 (3000-vertex Chung–Lu graphs, hub anchors whose neighbours span many shells)
 and a locality check of the lazily materialised shell orders follow them.
+The dict kernel's bucket peel is checked against the reference heap peel
+(:func:`~repro.backends.dict_backend.dict_anchored_peel`) on the same pools.
 """
 
 from __future__ import annotations
@@ -32,7 +34,12 @@ from hypothesis import strategies as st
 from repro.anchored.anchored_core import AnchoredCoreIndex
 from repro.anchored.greedy import GreedyAnchoredKCore
 from repro.backends import CoreIndexKernel, numba_available, numpy_available
-from repro.backends.dict_backend import DictBackend, DictCoreIndexKernel
+from repro.backends.dict_backend import (
+    DictBackend,
+    DictCoreIndexKernel,
+    dict_anchored_peel,
+    dict_core_numbers,
+)
 from repro.graph.generators import chung_lu_graph
 from repro.graph.static import Graph
 from repro.obs import tracer
@@ -85,6 +92,23 @@ def commit_scenarios(draw):
     universe = sorted(graph.vertices(), key=tie_break_key)
     anchors = draw(st.lists(st.sampled_from(universe), max_size=4, unique=True))
     return graph, k, anchors
+
+
+@st.composite
+def anchored_graphs(draw):
+    """A graph and any anchor subset (isolated vertices included)."""
+    graph = draw(graphs())
+    universe = sorted(graph.vertices(), key=tie_break_key)
+    anchors = draw(st.lists(st.sampled_from(universe), unique=True))
+    return graph, frozenset(anchors)
+
+
+@SETTINGS
+@given(scenario=anchored_graphs())
+def test_bucket_core_numbers_match_heap_peel(scenario):
+    """The core index's bucket peel equals the reference heap peel's cores."""
+    graph, anchors = scenario
+    assert dict_core_numbers(graph, anchors) == dict_anchored_peel(graph, anchors).core
 
 
 def _assert_index_state_equal(incremental: AnchoredCoreIndex, full: AnchoredCoreIndex):
@@ -234,7 +258,8 @@ def _midsize_state(index: AnchoredCoreIndex):
 @pytest.mark.parametrize("k", [2, 3, 4, 6])
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_midsize_commits_match_dict_full_refresh(seed, k):
-    """Commit by commit, every id-array kernel equals a dict full refresh.
+    """Commit by commit, every kernel (dict included) equals a dict full
+    refresh, whose removal ranks in turn equal the reference heap peel's.
 
     The commit sequence brackets Greedy's anchors with the four highest-degree
     vertices: a hub's neighbours sit in many shells, so its commit runs riser
@@ -253,11 +278,13 @@ def test_midsize_commits_match_dict_full_refresh(seed, k):
     sequence = hubs[:2] + [a for a in reference.anchors if a not in hubs] + hubs[2:]
     indexes = {
         backend: AnchoredCoreIndex(graph, k, backend=backend)
-        for backend in ID_ARRAY_BACKENDS
+        for backend in ["dict"] + ID_ARRAY_BACKENDS
     }
     for position, anchor in enumerate(sequence):
         full = AnchoredCoreIndex(graph, k, anchors=sequence[: position + 1], backend="dict")
         expected = _midsize_state(full)
+        oracle = dict_anchored_peel(graph, frozenset(sequence[: position + 1]))
+        assert expected[1] == {v: rank for rank, v in enumerate(oracle.order)}
         for backend, index in indexes.items():
             index.commit_anchor(anchor)
             assert _midsize_state(index) == expected, (backend, position)
@@ -280,7 +307,7 @@ def _shell_order_levels():
     ]
 
 
-@pytest.mark.parametrize("backend", ID_ARRAY_BACKENDS)
+@pytest.mark.parametrize("backend", ["dict"] + ID_ARRAY_BACKENDS)
 def test_commits_materialise_no_shell_order(backend, traced):
     """A commit only marks shells dirty; a pruned scan reads shell k - 1 only."""
     k = 4

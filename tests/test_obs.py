@@ -353,6 +353,7 @@ class TestShellOrderSpans:
     @pytest.mark.parametrize(
         "backend",
         [
+            "dict",
             "compact",
             pytest.param(
                 "numpy",
